@@ -28,8 +28,8 @@ from .distance_analysis import (bonafide_spoof_pairing, read_frames,
                                 summarize_by_gender, write_distance_records)
 from .fileio import atomic_write_text
 from .metrics import classification_result, regression_result
-from .perturbation import (PerturbSweepConfig, run_sweep, speed_perturb,
-                           write_score_file)
+from .perturbation import (PerturbSweepConfig, check_rate, run_sweep,
+                           speed_perturb, write_score_file)
 from .probe_net import (DEFAULT_HIDDEN_DIM, TrainConfig, init_probe, predict,
                         save_probe, train)
 from .rng import derive_seed
@@ -486,12 +486,14 @@ def cmd_perturb(resolved: dict) -> list[dict]:
     manifest = load_manifest(manifest_path)
     out_rel = pcfg.get("audio_outdir", "perturbed")
     rates = [float(r) for r in pcfg.get("rates", list(PerturbSweepConfig().rates))]
-    wrote = 0
     for rate in rates:
-        for row in manifest.rows:
-            if not row.audio_path:
-                continue
-            wav = read_wav(manifest_path.parent / row.audio_path)
+        check_rate(rate)
+    wrote = 0
+    for row in manifest.rows:
+        if not row.audio_path:
+            continue
+        wav = read_wav(manifest_path.parent / row.audio_path)
+        for rate in rates:
             out = speed_perturb(wav, rate)
             write_wav(_resolve_path(resolved, f"{out_rel}/r{rate:g}/{row.utt_id}.wav"), out)
             wrote += 1
@@ -570,6 +572,8 @@ def main(argv=None) -> int:
 
     doc = load_config(args.config)
     resolved = resolve_config(doc, outdir=args.outdir, seed=args.seed)
+    failures_path = _resolve_path(resolved, "failures.json")
+    failures_path.unlink(missing_ok=True)  # a successful rerun leaves none behind
 
     try:
         for task in resolved["tasks"]:
@@ -582,8 +586,7 @@ def main(argv=None) -> int:
         failures = [{"command": args.command, "error": str(exc)}]
 
     if failures:
-        _dump_json(_resolve_path(resolved, "failures.json"),
-                   {"command": args.command, "failures": failures})
+        _dump_json(failures_path, {"command": args.command, "failures": failures})
         print(json.dumps({"command": args.command, "failures": failures}, sort_keys=True),
               file=sys.stderr)
         return 1

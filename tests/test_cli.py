@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from embprobe.cli import (REPORT_SCHEMA, config_fingerprint, main,
+from embprobe.cli import (REPORT_SCHEMA, cmd_perturb, config_fingerprint, main,
                           resolve_config, validate_task)
 from embprobe.data_model import load_embeddings, load_manifest
 from embprobe.trait_extract import read_trait_csv, read_wav
@@ -252,3 +252,34 @@ def test_synth_multiple_systems_with_overrides(tmp_path):
     assert asv.dim == 40
     assert cm.dim == 24
     assert set(asv.entries) == set(cm.entries)
+
+
+def test_perturb_bad_rate_fails_before_any_audio(tmp_path):
+    outdir = tmp_path / "out"
+    cfg = pipeline_config(outdir)
+    cfg["synth"].update(n_speakers=2, utts_per_speaker=4)
+    cfg["perturb"]["rates"] = [0.8, 2.5]
+    cfg_path = write_config(tmp_path, cfg)
+    assert run("synth", cfg_path) == 0
+    with pytest.raises(ValueError, match=r"rate 2\.5 outside"):
+        cmd_perturb(resolve_config(cfg))
+    assert run("perturb", cfg_path) == 1
+    failures = json.loads((outdir / "failures.json").read_text())
+    assert "rate 2.5" in failures["failures"][0]["error"]
+    assert not (outdir / "perturbed").exists()
+
+
+def test_successful_rerun_removes_failures_file(tmp_path):
+    outdir = tmp_path / "out"
+    cfg = pipeline_config(outdir)
+    cfg["synth"].update(n_speakers=4, utts_per_speaker=4)
+    cfg["synth"].pop("audio")
+    cfg["tasks"] = [{"trait": "gender", "kind": "classification", "scheme": "T02"}]
+    cfg["train"]["epochs"] = 2
+    cfg_path = write_config(tmp_path, cfg)
+    assert run("synth", cfg_path) == 0
+    assert run("probe", cfg_path) == 1  # no split file yet
+    assert (outdir / "failures.json").exists()
+    assert run("partition", cfg_path) == 0
+    assert run("probe", cfg_path) == 0
+    assert not (outdir / "failures.json").exists()

@@ -1,9 +1,12 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from embprobe.perturbation import (PerturbSweepConfig, ScoreRow,
-                                   read_score_file, run_sweep, speed_perturb,
-                                   write_score_file)
+from embprobe.perturbation import (HALF_TAPS, KAISER_BETA, MAX_RATE_DENOMINATOR,
+                                   PerturbSweepConfig, ScoreRow, read_score_file,
+                                   run_sweep, speed_perturb, write_score_file)
 from embprobe.synth import gen_scores, gen_tone
 from embprobe.trait_extract import Waveform, f0_mean
 
@@ -58,6 +61,88 @@ def test_perturb_deterministic():
     a = speed_perturb(w, 0.9).samples
     b = speed_perturb(w, 0.9).samples
     assert np.array_equal(a, b)
+
+
+def _reference_perturb(x, rate, exact=True):
+    """Kaiser-sinc resampling that evaluates the window for every output sample.
+
+    With `exact`, output k sits at input position k*p/q in integers; without
+    it, at the float product k*rate.
+    """
+    n_out = max(1, int(round(len(x) / rate)))
+    cutoff = min(1.0, 1.0 / rate)
+    half = int(math.ceil(HALF_TAPS / cutoff))
+    if exact:
+        ratio = Fraction(rate).limit_denominator(MAX_RATE_DENOMINATOR)
+        base, phase = np.divmod(np.arange(n_out, dtype=np.int64) * ratio.numerator,
+                                ratio.denominator)
+        frac = phase / ratio.denominator
+    else:
+        t = np.arange(n_out) * rate
+        base = np.floor(t).astype(np.int64)
+        frac = t - base
+    pad = half + 2
+    xp = np.concatenate([np.zeros(pad), x, np.zeros(pad)])
+    y = np.zeros(n_out)
+    for j in range(-half, half + 2):
+        u = j - frac
+        v = u / half
+        win = np.zeros_like(u)
+        inside = np.abs(v) < 1.0
+        win[inside] = np.i0(KAISER_BETA * np.sqrt(1.0 - v[inside] ** 2)) / np.i0(KAISER_BETA)
+        y += cutoff * np.sinc(cutoff * u) * win * xp[base + j + pad]
+    return y
+
+
+def _int16(y):
+    return np.clip(np.rint(y * 32768.0), -32768, 32767).astype("<i2")
+
+
+REFERENCE_RATES = (0.5, 0.8, 0.9, 1 / 1.2, 1.1, 1.2, 2.0, 1.037, 0.8137)
+
+
+@pytest.mark.parametrize("rate", REFERENCE_RATES)
+def test_matches_per_sample_reference(rate):
+    rng = np.random.Generator(np.random.PCG64(11))
+    noise = Waveform(rng.uniform(-0.5, 0.5, 1601), 16000)
+    for w in (gen_tone(210.0, 0.1), noise):
+        out = speed_perturb(w, rate).samples
+        ref = _reference_perturb(w.samples, rate)
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_in,rate", [(1, 0.5), (1, 1.1), (1, 2.0), (2, 2.0), (3, 1.9)])
+def test_tiny_inputs_match_reference(n_in, rate):
+    w = Waveform(np.linspace(0.3, -0.2, n_in), 16000)
+    out = speed_perturb(w, rate).samples
+    ref = _reference_perturb(w.samples, rate)
+    assert len(out) == max(1, int(round(n_in / rate)))
+    assert np.max(np.abs(out - ref)) <= 1e-12
+
+
+def test_exact_positions_repeat_every_denominator():
+    # rate 1.1 = 11/10: output k+10 reads the input 11 samples later at the
+    # same phase, so an input of period 11 gives an output of period 10.
+    # k*1.1 in floats is off by a few ulps, which breaks this.
+    rng = np.random.Generator(np.random.PCG64(5))
+    x = np.tile(rng.uniform(-0.5, 0.5, 11), 200)
+    out = speed_perturb(Waveform(x, 16000), 1.1).samples[100:-100]
+    assert np.array_equal(out[10:], out[:-10])
+    drifted = _reference_perturb(x, 1.1, exact=False)[100:-100]
+    assert not np.array_equal(drifted[10:], drifted[:-10])
+
+
+def test_exact_positions_move_float_drift_samples():
+    # a 0.3 s tone at rate 1.1: where k*1.1 should be an integer, the float
+    # product leaves a fraction of ~1e-13, which brings the window's edge tap
+    # (weight 1/I0(beta)) into the sum and moves some 16-bit samples; the
+    # output follows the exact positions
+    w = gen_tone(200.0, 0.3)
+    out = _int16(speed_perturb(w, 1.1).samples)
+    assert np.array_equal(out, _int16(_reference_perturb(w.samples, 1.1)))
+    drifted = _int16(_reference_perturb(w.samples, 1.1, exact=False))
+    assert 0 < np.count_nonzero(out != drifted) < 100
 
 
 # --- score files ---
