@@ -13,12 +13,10 @@ import dataclasses
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__, charts, synth
 from .data_model import (ATTACK_TRAITS, META_TRAITS, PartitionScheme, TraitTask,
@@ -115,7 +113,11 @@ def _deep_merge(base, override):
 def load_config(path) -> dict:
     path = Path(path)
     text = path.read_text(encoding="utf-8")
-    doc = json.loads(text) if path.suffix == ".json" else yaml.safe_load(text)
+    if path.suffix == ".json":
+        doc = json.loads(text)
+    else:
+        import yaml  # JSON configs skip its import cost
+        doc = yaml.safe_load(text)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a mapping")
     return doc
@@ -391,6 +393,7 @@ def cmd_probe(resolved: dict, jobs: int = 1) -> list[dict]:
                     "status": "failed", "error": str(exc)}
 
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(run, jobs_list))
     else:
@@ -436,33 +439,41 @@ def cmd_distance(resolved: dict) -> list[dict]:
         raise ValueError("config has no distance section")
     manifest_path = _resolve_path(resolved, resolved["manifest"])
     manifest = load_manifest(manifest_path)
-    summary: dict[str, dict] = {}
+    rows = manifest.row_map()
+    paired: dict[str, tuple] = {}
     for kind in dcfg.get("kinds", ["embedding"]):
+        source = None  # utt_id -> the file a pairing error names
         if kind == "embedding":
             system = dcfg.get("system")
             if system not in resolved["embeddings"]:
                 raise ValueError(f"distance system {system!r} has no embeddings path")
             table = load_embeddings(_resolve_path(resolved, resolved["embeddings"][system]))
-            reprs = dict(table.entries)
+            load = table.entries
         elif kind == "encoder_spectral":
-            reprs = {}
             features_dir = dcfg.get("features_dir")
             chunk_s = float(dcfg.get("chunk_seconds", 4.0))
-            for row in manifest.rows:
+
+            def frm_path(utt: str) -> Path:
+                return _resolve_path(resolved, f"{features_dir}/{utt}.frm")
+
+            def load(utt: str) -> np.ndarray:
                 if features_dir:
-                    reprs[row.utt_id] = read_frames(
-                        _resolve_path(resolved, f"{features_dir}/{row.utt_id}.frm"))
-                elif row.audio_path:
-                    wav = read_wav(manifest_path.parent / row.audio_path)
-                    reprs[row.utt_id] = power_spectrogram(chunk_fixed(wav, chunk_s)).frames
-                else:
-                    raise ValueError(
-                        f"{row.utt_id}: no frame features or audio for encoder_spectral")
+                    return read_frames(frm_path(utt))
+                if rows[utt].audio_path:
+                    wav = read_wav(manifest_path.parent / rows[utt].audio_path)
+                    return power_spectrogram(chunk_fixed(wav, chunk_s)).frames
+                raise ValueError(f"{utt}: no frame features or audio for encoder_spectral")
+
+            source = frm_path if features_dir else None
         else:
             raise ValueError(f"unknown distance kind {kind!r}")
-        records, skipped = bonafide_spoof_pairing(manifest, reprs, kind)
+        # one speaker's representations at a time, each read exactly once
+        paired[kind] = bonafide_spoof_pairing(manifest, load, kind, source=source)
+    # every kind is paired before the first file is written
+    bins = int(dcfg.get("bins", 50))
+    summary: dict[str, dict] = {}
+    for kind, (records, skipped) in paired.items():
         write_distance_records(records, _resolve_path(resolved, f"distance_records_{kind}.csv"))
-        bins = int(dcfg.get("bins", 50))
         female, male = summarize_by_gender(records, bins=bins)
         summary[kind] = {
             "female": dataclasses.asdict(female), "male": dataclasses.asdict(male),

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,7 +63,9 @@ def itakura_saito(P, Q) -> float:
     if np.any(P <= 0.0) or np.any(Q <= 0.0):
         raise ValueError("non-positive spectral entry")
     ratio = P / Q
-    return float(np.sum(ratio - np.log(ratio) - 1.0) / P.shape[0])
+    ratio -= np.log(ratio)
+    ratio -= 1.0
+    return float(np.sum(ratio) / P.shape[0])
 
 
 def cosine_similarity(a, b) -> float:
@@ -82,46 +85,78 @@ def cosine_distance(a, b) -> float:
     return 1.0 - cosine_similarity(a, b)
 
 
-def bonafide_spoof_pairing(manifest: Manifest, reprs: dict, kind: str,
+def _present(value, utt: str):
+    if value is None:
+        raise ValueError(f"missing representation for utt_id {utt!r}")
+    return value
+
+
+def _pair_speaker(load, distance, bonas, spoofs, name) -> list[list[float]]:
+    """Distances from each bonafide row to every spoof row, in spoof order.
+
+    Holds the bonafide representations and one spoof at a time; all of them
+    are released when this returns.
+    """
+    held = [_present(load(b.utt_id), b.utt_id) for b in bonas]
+    dists: list[list[float]] = [[] for _ in bonas]
+    for s in spoofs:
+        spoof = _present(load(s.utt_id), s.utt_id)
+        for b, bona, out in zip(bonas, held, dists):
+            try:
+                out.append(distance(bona, spoof))
+            except ValueError as exc:
+                raise ValueError(f"bonafide {name(b.utt_id)} vs spoof "
+                                 f"{name(s.utt_id)}: {exc}") from None
+        del spoof  # before the next spoof is loaded
+    return dists
+
+
+def bonafide_spoof_pairing(manifest: Manifest, reprs, kind: str, source=None,
                            ) -> tuple[list[PairedDistanceRecord], int]:
     """Mean distance from each bonafide utterance to every spoofed utterance
     of the same speaker.
 
-    Returns (records, skipped) where skipped counts bonafide utterances whose
-    speaker has no spoofed material. The spectral kind expects equal-shape
-    frame matrices (fixed-length chunks); the embedding kind uses 1 - cosine.
+    `reprs` maps utt_id to a representation: a mapping, or a loader called
+    with the utt_id. The manifest is walked one speaker at a time and every
+    row's representation is requested exactly once, so peak memory is one
+    speaker's bonafide representations plus one spoof. A row that is not
+    paired (its speaker lacks bonafide or spoofed material) is still loaded,
+    so a loader's errors surface, but may be missing (None). `source`
+    optionally maps a utt_id to the file it came from, quoted in pairing
+    errors.
+
+    Returns (records, skipped) in manifest order, where skipped counts
+    bonafide utterances whose speaker has no spoofed material. The spectral
+    kind expects equal-shape frame matrices (fixed-length chunks); the
+    embedding kind uses 1 - cosine.
     """
     if kind not in REPRESENTATION_KINDS:
         raise ValueError(f"unknown representation kind {kind!r}")
+    load = reprs.get if isinstance(reprs, Mapping) else reprs
+    distance = cosine_distance if kind == "embedding" else itakura_saito
 
-    def lookup(utt: str):
-        value = reprs.get(utt)
-        if value is None:
-            raise ValueError(f"missing representation for utt_id {utt!r}")
-        return value
+    def name(utt: str) -> str:
+        return f"{utt!r}" if source is None else f"{utt!r} ({source(utt)})"
 
-    spoof_by_speaker: dict[str, list[str]] = {}
+    by_speaker: dict[str, tuple[list, list]] = {}
     for row in manifest.rows:
-        if not row.is_bonafide:
-            spoof_by_speaker.setdefault(row.speaker_id, []).append(row.utt_id)
+        by_speaker.setdefault(row.speaker_id, ([], []))[0 if row.is_bonafide else 1].append(row)
 
-    records: list[PairedDistanceRecord] = []
+    means: dict[str, float] = {}
     skipped = 0
-    for row in manifest.rows:
-        if not row.is_bonafide:
+    for bonas, spoofs in by_speaker.values():
+        if not bonas or not spoofs:
+            for row in bonas + spoofs:
+                load(row.utt_id)
+            skipped += len(bonas)
             continue
-        spoofs = spoof_by_speaker.get(row.speaker_id, [])
-        if not spoofs:
-            skipped += 1
-            continue
-        bona = lookup(row.utt_id)
-        if kind == "embedding":
-            dists = [cosine_distance(bona, lookup(s)) for s in spoofs]
-        else:
-            dists = [itakura_saito(bona, lookup(s)) for s in spoofs]
-        records.append(PairedDistanceRecord(
-            bonafide_utt=row.utt_id, mean_distance=float(np.mean(dists)),
-            speaker_id=row.speaker_id, gender=row.gender, representation=kind))
+        for b, dists in zip(bonas, _pair_speaker(load, distance, bonas, spoofs, name)):
+            means[b.utt_id] = float(np.mean(dists))
+
+    records = [PairedDistanceRecord(
+        bonafide_utt=row.utt_id, mean_distance=means[row.utt_id],
+        speaker_id=row.speaker_id, gender=row.gender, representation=kind)
+        for row in manifest.rows if row.utt_id in means]
     return records, skipped
 
 

@@ -300,12 +300,33 @@ def save_probe(probe: MLPProbe, path) -> None:
 
 
 def load_probe(path) -> MLPProbe:
+    """Read a PRB1 file; any malformed input raises ValueError naming `path`."""
     data = Path(path).read_bytes()
     if len(data) < 17 or data[:4] != PRB_MAGIC:
         raise ValueError(f"{path}: bad magic (not a PRB1 file)")
+    try:
+        return _parse_probe(data, path)
+    except struct.error:
+        raise ValueError(f"{path}: truncated file") from None
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: class name is not UTF-8") from None
+
+
+def _parse_probe(data: bytes, path) -> MLPProbe:
     (kind_code,) = struct.unpack_from("<B", data, 4)
+    if kind_code not in (0, 1):
+        raise ValueError(f"{path}: unknown task kind code {kind_code}")
+    kind = "classification" if kind_code == 0 else "regression"
     input_dim, hidden_dim, output_dim = struct.unpack_from("<III", data, 5)
+    if min(input_dim, hidden_dim, output_dim) < 1:
+        raise ValueError(f"{path}: zero dimension")
     (n_classes,) = struct.unpack_from("<I", data, 17)
+    # a classification probe records one name per output or none at all
+    if kind == "classification" and n_classes not in (0, output_dim):
+        raise ValueError(f"{path}: {n_classes} class names for {output_dim} outputs")
+    if kind == "regression" and (n_classes != 0 or output_dim != 1):
+        raise ValueError(f"{path}: regression probe with {output_dim} outputs "
+                         f"and {n_classes} class names")
     pos = 21
     classes: list[str] = []
     for _ in range(n_classes):
@@ -315,6 +336,8 @@ def load_probe(path) -> MLPProbe:
         pos += nlen
     target_mean, target_std = struct.unpack_from("<dd", data, pos)
     pos += 16
+    if not (math.isfinite(target_mean) and math.isfinite(target_std)):
+        raise ValueError(f"{path}: non-finite target statistics")
     shapes = {
         "W1": (hidden_dim, input_dim), "b1": (hidden_dim,),
         "W2": (hidden_dim, hidden_dim), "b2": (hidden_dim,),
@@ -322,17 +345,18 @@ def load_probe(path) -> MLPProbe:
     }
     params = {}
     for name in PARAM_NAMES:
-        count = int(np.prod(shapes[name]))
+        count = math.prod(shapes[name])
         if pos + 4 * count > len(data):
             raise ValueError(f"{path}: truncated parameter block")
         params[name] = np.frombuffer(data, dtype="<f4", count=count,
                                      offset=pos).astype(np.float64).reshape(shapes[name])
+        if not np.all(np.isfinite(params[name])):
+            raise ValueError(f"{path}: non-finite parameter in {name}")
         pos += 4 * count
     if pos != len(data):
         raise ValueError(f"{path}: trailing bytes")
     return MLPProbe(
         input_dim=input_dim, hidden_dim=hidden_dim, output_dim=output_dim,
-        task_kind="classification" if kind_code == 0 else "regression",
-        classes=tuple(classes) or None,
+        task_kind=kind, classes=tuple(classes) or None,
         target_mean=target_mean, target_std=target_std, **params,
     )

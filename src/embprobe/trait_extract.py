@@ -242,16 +242,17 @@ def power_spectrogram(w: Waveform, frame_len: float = 0.025, hop: float = 0.010,
         raise ValueError(f"fft_size {fft_size} smaller than the {n}-sample frame")
     if len(w.samples) < n:
         raise ValueError("audio shorter than one frame")
-    frames = _frame_signal(w.samples, n, hopn) * np.hanning(n)
+    frames = np.lib.stride_tricks.sliding_window_view(w.samples, n)[::hopn] * np.hanning(n)
     spec = np.fft.rfft(frames, fft_size, axis=1)
-    power = spec.real ** 2 + spec.imag ** 2
+    power = np.square(spec.real)
+    power += np.square(spec.imag, out=spec.imag)
     scale = np.full(power.shape[1], 2.0 / fft_size)
     scale[0] = 1.0 / fft_size
     if fft_size % 2 == 0:
         scale[-1] = 1.0 / fft_size
     power *= scale
-    return SpectralFrames(frames=np.maximum(power, POWER_FLOOR),
-                          frame_shift=hopn / sr, frame_length=n / sr)
+    np.maximum(power, POWER_FLOOR, out=power)
+    return SpectralFrames(frames=power, frame_shift=hopn / sr, frame_length=n / sr)
 
 
 def chunk_fixed(w: Waveform, seconds: float) -> Waveform:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -8,6 +12,7 @@ import yaml
 from embprobe.cli import (REPORT_SCHEMA, cmd_perturb, config_fingerprint, main,
                           resolve_config, validate_task)
 from embprobe.data_model import load_embeddings, load_manifest
+from embprobe.distance_analysis import write_frames
 from embprobe.trait_extract import read_trait_csv, read_wav
 
 
@@ -283,3 +288,59 @@ def test_successful_rerun_removes_failures_file(tmp_path):
     assert run("partition", cfg_path) == 0
     assert run("probe", cfg_path) == 0
     assert not (outdir / "failures.json").exists()
+
+
+def _small_distance_run(tmp_path):
+    outdir = tmp_path / "out"
+    cfg = pipeline_config(outdir)
+    cfg["synth"].update(n_speakers=4, utts_per_speaker=6)
+    cfg["tasks"] = []
+    cfg_path = write_config(tmp_path, cfg)
+    assert run("synth", cfg_path) == 0
+    return outdir, cfg, cfg_path
+
+
+def test_distance_corrupt_wav_fails_before_any_record(tmp_path):
+    outdir, _, cfg_path = _small_distance_run(tmp_path)
+    manifest = load_manifest(outdir / "manifest.csv")
+    speakers = sorted({r.speaker_id for r in manifest.rows})
+    victim = next(r for r in manifest.rows
+                  if r.speaker_id == speakers[2] and not r.is_bonafide)
+    (outdir / victim.audio_path).write_bytes(b"not a wav file")
+    assert run("distance", cfg_path) == 1
+    assert not list(outdir.glob("distance_records_*.csv"))
+    assert not (outdir / "distance_summary.json").exists()
+    error = json.loads((outdir / "failures.json").read_text())["failures"][0]["error"]
+    assert f"{victim.utt_id}.wav" in error and "not a RIFF/WAVE file" in error
+
+
+@pytest.mark.parametrize("defect", ["frame count", "zero entry"])
+def test_distance_frm1_pairing_error_names_utterances_and_files(tmp_path, defect):
+    outdir, cfg, _ = _small_distance_run(tmp_path)
+    cfg["distance"].update(kinds=["encoder_spectral"], features_dir="frm")
+    cfg_path = write_config(tmp_path, cfg)
+    manifest = load_manifest(outdir / "manifest.csv")
+    rng = np.random.Generator(np.random.PCG64(3))
+    for row in manifest.rows:
+        write_frames(np.exp(rng.normal(size=(6, 5))), outdir / "frm" / f"{row.utt_id}.frm")
+    spoof = next(r for r in manifest.rows if not r.is_bonafide)
+    bona = next(r for r in manifest.rows
+                if r.is_bonafide and r.speaker_id == spoof.speaker_id)
+    frames = np.ones((7, 5)) if defect == "frame count" else np.zeros((6, 5))
+    write_frames(frames, outdir / "frm" / f"{spoof.utt_id}.frm")
+    assert run("distance", cfg_path) == 1
+    error = json.loads((outdir / "failures.json").read_text())["failures"][0]["error"]
+    assert f"bonafide {bona.utt_id!r} ({outdir / 'frm' / bona.utt_id}.frm)" in error
+    assert f"spoof {spoof.utt_id!r} ({outdir / 'frm' / spoof.utt_id}.frm)" in error
+    assert ("shape mismatch" if defect == "frame count" else "non-positive") in error
+    assert not list(outdir.glob("distance_records_*.csv"))
+
+
+def test_cli_import_loads_neither_yaml_nor_thread_pool():
+    import embprobe
+    src = str(Path(embprobe.__file__).resolve().parents[1])
+    code = ("import sys, embprobe.cli; "
+            "print([m for m in ('yaml', 'concurrent.futures') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"

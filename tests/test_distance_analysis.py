@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -166,6 +167,151 @@ def test_pairing_planted_gender_offset(rng):
     records, _ = bonafide_spoof_pairing(Manifest(rows=tuple(rows)), reprs, "embedding")
     female, male = summarize_by_gender(records)
     assert male.mean > female.mean
+
+
+def _reference_itakura_saito(P, Q):
+    """The out-of-place formula of the first version."""
+    ratio = P / Q
+    return float(np.sum(ratio - np.log(ratio) - 1.0) / P.shape[0])
+
+
+def test_is_bit_identical_to_reference():
+    from embprobe.synth import gen_tone
+    from embprobe.trait_extract import power_spectrogram
+
+    tones = [power_spectrogram(gen_tone(f, 0.5, sr=16000, amplitude=0.5)).frames
+             for f in (150.0, 230.0)]
+    rng = make_rng(6, "is-ref")
+    noise = [np.exp(rng.normal(size=(48, 257))) for _ in range(2)]
+    for P, Q in (tones, noise, (tones[0], noise[0][:tones[0].shape[0]])):
+        assert itakura_saito(P, Q) == _reference_itakura_saito(P, Q)
+        assert itakura_saito(Q, P) == _reference_itakura_saito(Q, P)
+
+
+def _reference_pairing(manifest, reprs, kind):
+    """Per-bonafide loop over the whole corpus, as in the first version."""
+    dist = cosine_distance if kind == "embedding" else itakura_saito
+    records = []
+    for row in manifest.rows:
+        spoofs = [s.utt_id for s in manifest.rows
+                  if not s.is_bonafide and s.speaker_id == row.speaker_id]
+        if row.is_bonafide and spoofs:
+            records.append(PairedDistanceRecord(
+                row.utt_id, float(np.mean([dist(reprs[row.utt_id], reprs[s]) for s in spoofs])),
+                row.speaker_id, row.gender, kind))
+    return records
+
+
+def _interleaved_manifest():
+    # rows of A, B and C alternate; C has no spoofs, D has no bonafide rows
+    speakers = {"A": "female", "B": "male", "C": "male", "D": "female"}
+    layout = ["A_B0", "B_B0", "A_S0", "C_B0", "B_S0", "A_B1", "D_S0", "B_B1",
+              "A_S1", "B_S1", "C_B1", "A_B2", "B_S2", "A_S2", "B_B2", "D_S1"]
+    rows = []
+    for utt in layout:
+        spk, role = utt.split("_")
+        bonafide = role.startswith("B")
+        rows.append(make_row(utt, speaker=spk, gender=speakers[spk], bonafide=bonafide,
+                             attack_id=None if bonafide else "A07",
+                             attack_type=None if bonafide else "TTS"))
+    return Manifest(rows=tuple(rows))
+
+
+@pytest.mark.parametrize("kind", ["embedding", "encoder_spectral"])
+def test_pairing_loader_matches_dict_and_reference(tmp_path, rng, kind):
+    manifest = _interleaved_manifest()
+    shape = (6,) if kind == "embedding" else (5, 9)
+    reprs = {r.utt_id: np.exp(rng.normal(size=shape)) for r in manifest.rows}
+    from_dict, skipped = bonafide_spoof_pairing(manifest, reprs, kind)
+    from_loader, skipped_loader = bonafide_spoof_pairing(manifest, reprs.__getitem__, kind)
+    assert skipped == skipped_loader == 2  # C_B0, C_B1
+    assert [r.bonafide_utt for r in from_dict] == [
+        "A_B0", "B_B0", "A_B1", "B_B1", "A_B2", "B_B2"]  # manifest order
+    assert from_dict == from_loader == _reference_pairing(manifest, reprs, kind)
+    write_distance_records(from_dict, tmp_path / "dict.csv")
+    write_distance_records(from_loader, tmp_path / "loader.csv")
+    write_distance_records(_reference_pairing(manifest, reprs, kind), tmp_path / "ref.csv")
+    assert (tmp_path / "dict.csv").read_bytes() == (tmp_path / "loader.csv").read_bytes() \
+        == (tmp_path / "ref.csv").read_bytes()
+
+
+class _SpyLoader:
+    """Hands out fresh copies and tracks which of them are still alive."""
+
+    def __init__(self, manifest, reprs):
+        self.rows = manifest.row_map()
+        self.n_bona = {}
+        for row in manifest.rows:
+            self.n_bona[row.speaker_id] = self.n_bona.get(row.speaker_id, 0) + row.is_bonafide
+        self.reprs = reprs
+        self.requests: list[str] = []
+        self.finished: set[str] = set()
+        self.alive: set[str] = set()
+        self.peak = 0
+
+    def __call__(self, utt):
+        speaker = self.rows[utt].speaker_id
+        assert speaker not in self.finished, f"{utt}: speaker {speaker} already done"
+        if self.requests and self.rows[self.requests[-1]].speaker_id != speaker:
+            self.finished.add(self.rows[self.requests[-1]].speaker_id)
+        assert all(self.rows[u].speaker_id == speaker for u in self.alive), self.alive
+        assert len(self.alive) <= self.n_bona[speaker], (utt, self.alive)
+        self.requests.append(utt)
+        value = self.reprs[utt].copy()
+        self.alive.add(utt)
+        weakref.finalize(value, self.alive.discard, utt)
+        self.peak = max(self.peak, len(self.alive))
+        return value
+
+
+@pytest.mark.parametrize("kind", ["embedding", "encoder_spectral"])
+def test_pairing_streams_one_speaker_at_a_time(rng, kind):
+    manifest = _interleaved_manifest()
+    shape = (6,) if kind == "embedding" else (5, 9)
+    reprs = {r.utt_id: np.exp(rng.normal(size=shape)) for r in manifest.rows}
+    spy = _SpyLoader(manifest, reprs)
+    records, _ = bonafide_spoof_pairing(manifest, spy, kind)
+    assert sorted(spy.requests) == sorted(r.utt_id for r in manifest.rows)  # each once
+    assert [spy.rows[u].speaker_id for u in spy.requests] == list("AAAAAABBBBBBCCDD")
+    # one speaker's bonafide set plus one spoof: A and B hold 3 + 1
+    assert spy.peak == 4
+    assert not spy.alive
+    assert records == _reference_pairing(manifest, reprs, kind)
+
+
+def test_pairing_unpaired_rows_are_loaded_but_may_be_missing():
+    manifest = _pair_manifest()
+    requested = []
+
+    def loader(utt):
+        requested.append(utt)
+        return None if utt == "L_B0" else np.ones(3)
+
+    records, skipped = bonafide_spoof_pairing(manifest, loader, "embedding")
+    assert skipped == 1 and len(records) == 2
+    assert sorted(requested) == sorted(r.utt_id for r in manifest.rows)
+
+    def broken(utt):
+        if utt == "L_B0":
+            raise ValueError("L_B0.wav: not a RIFF/WAVE file")
+        return np.ones(3)
+
+    with pytest.raises(ValueError, match="L_B0.wav"):
+        bonafide_spoof_pairing(manifest, broken, "embedding")
+
+
+def test_pairing_errors_name_both_utterances():
+    manifest = _pair_manifest()
+    reprs = {r.utt_id: np.ones((4, 3)) for r in manifest.rows}
+    reprs["F_S1"] = np.ones((5, 3))
+    with pytest.raises(ValueError, match=r"bonafide 'F_B0' vs spoof 'F_S1': shape mismatch"):
+        bonafide_spoof_pairing(manifest, reprs, "encoder_spectral")
+    reprs["F_S1"] = np.zeros((4, 3))
+    with pytest.raises(ValueError,
+                       match=r"bonafide 'F_B0' \(F_B0\.frm\) vs spoof 'F_S1' \(F_S1\.frm\): "
+                             r"non-positive"):
+        bonafide_spoof_pairing(manifest, reprs, "encoder_spectral",
+                               source=lambda utt: f"{utt}.frm")
 
 
 # --- summaries ---

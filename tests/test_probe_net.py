@@ -1,7 +1,11 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embprobe.data_model import ProbingDataset
 from embprobe.probe_net import (AdamState, MLPProbe, TrainConfig, adam_step,
@@ -382,3 +386,66 @@ def test_prb1_loaded_probe_predicts_identically(tmp_path, rng):
     save_probe(probe, path)
     reload = load_probe(path)
     assert np.array_equal(predict(loaded, X), predict(reload, X))
+
+
+def _saved_probe_bytes(kind):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.prb"
+        if kind == "classification":
+            probe = init_probe(3, 4, 2, "classification", seed=11)
+            probe.classes = ("female", "male")
+        else:
+            probe = init_probe(3, 4, 1, "regression", seed=12)
+            probe.target_mean, probe.target_std = 180.5, 22.25
+        save_probe(probe, path)
+        return path.read_bytes()
+
+
+PROBE_BYTES = {kind: _saved_probe_bytes(kind) for kind in ("classification", "regression")}
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(PROBE_BYTES)), data=st.data())
+def test_prb1_truncation_or_byte_flip_loads_or_names_path(kind, data):
+    blob = PROBE_BYTES[kind]
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+        mask = data.draw(st.integers(1, 255), label="mask")
+        blob = blob[:at] + bytes([blob[at] ^ mask]) + blob[at + 1:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.prb"
+        path.write_bytes(blob)
+        try:
+            probe = load_probe(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+        else:
+            assert all(np.all(np.isfinite(v)) for v in probe.params().values())
+            assert probe.task_kind in ("classification", "regression")
+
+
+@pytest.mark.parametrize("offset, value, message", [
+    (4, 2, "task kind code 2"),           # kind byte
+    (17, 3, "3 class names for 2 outputs"),  # class count
+])
+def test_prb1_header_checks(tmp_path, offset, value, message):
+    blob = bytearray(PROBE_BYTES["classification"])
+    blob[offset] = value
+    path = tmp_path / "bad.prb"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match=message):
+        load_probe(path)
+
+
+def test_prb1_short_header_and_nan_parameter(tmp_path):
+    path = tmp_path / "short.prb"
+    path.write_bytes(PROBE_BYTES["classification"][:19])
+    with pytest.raises(ValueError, match="truncated"):
+        load_probe(path)
+    blob = bytearray(PROBE_BYTES["regression"])
+    blob[-4:] = np.array([np.nan], dtype="<f4").tobytes()  # last entry of b3
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="non-finite parameter in b3"):
+        load_probe(path)

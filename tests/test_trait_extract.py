@@ -202,6 +202,33 @@ def test_spectrogram_frame_count_4s():
     assert sf.frames.shape[0] == 398  # floor((64000-400)/160)+1
 
 
+def _reference_power_spectrogram(x, sr, frame_len=0.025, hop=0.010, fft_size=512):
+    """The fancy-indexed framing and out-of-place power of the first version."""
+    n = int(round(frame_len * sr))
+    hopn = max(1, int(round(hop * sr)))
+    n_frames = 1 + (len(x) - n) // hopn
+    idx = np.arange(n)[None, :] + hopn * np.arange(n_frames)[:, None]
+    spec = np.fft.rfft(x[idx] * np.hanning(n), fft_size, axis=1)
+    power = spec.real ** 2 + spec.imag ** 2
+    scale = np.full(power.shape[1], 2.0 / fft_size)
+    scale[0] = 1.0 / fft_size
+    if fft_size % 2 == 0:
+        scale[-1] = 1.0 / fft_size
+    power *= scale
+    return np.maximum(power, 1e-10)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"frame_len": 0.02, "hop": 0.007, "fft_size": 511}])
+def test_spectrogram_bit_identical_to_reference(kwargs):
+    tone = gen_tone(180.0, 0.6, sr=16000, amplitude=0.5).samples
+    noise = make_rng(5, "spec-ref").normal(0.0, 0.3, 9999)
+    for x in (tone, noise):
+        got = power_spectrogram(Waveform(x, 16000), **kwargs).frames
+        want = _reference_power_spectrogram(x, 16000, **kwargs)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_spectrogram_validations():
     w = Waveform(np.zeros(100), 16000)
     with pytest.raises(ValueError, match="shorter than one frame"):
