@@ -12,6 +12,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -99,6 +100,27 @@ DEFAULTS = {
     "sweep": None,
     "synth": None,
 }
+
+
+# Sections whose every key is listed in DEFAULTS; the others are read by the
+# commands that use them.
+CHECKED_SECTIONS = ("partition", "train", "metrics")
+
+
+def check_config_keys(resolved: dict) -> None:
+    """Raise ValueError naming the dotted path of the first unknown key at the
+    top level or in a CHECKED_SECTIONS section."""
+    def check(section: dict, known, prefix: str) -> None:
+        for key in section:
+            if key not in known:
+                raise ValueError(f"unknown config key {prefix + str(key)!r} "
+                                 f"(known: {', '.join(sorted(known))})")
+
+    check(resolved, DEFAULTS, "")
+    for name in CHECKED_SECTIONS:
+        if not isinstance(resolved[name], dict):
+            raise ValueError(f"config key {name!r} must be a mapping")
+        check(resolved[name], DEFAULTS[name], f"{name}.")
 
 
 def _deep_merge(base, override):
@@ -197,6 +219,7 @@ def cmd_synth(resolved: dict) -> list[dict]:
     base_spec = _synth_spec(resolved)
     manifest = synth.build_manifest(base_spec)
 
+    manifest_path = _resolve_path(resolved, resolved["manifest"])
     audio_cfg = scfg.get("audio")
     if audio_cfg:
         audio_dir = audio_cfg.get("dir", "audio")
@@ -209,16 +232,18 @@ def cmd_synth(resolved: dict) -> list[dict]:
             values = synth.planted_values(base_spec, freq_trait)
         else:
             values = np.zeros(len(manifest.rows))
+        audio_root = _resolve_path(resolved, audio_dir)
+        # manifest audio paths are relative to the manifest's directory
+        audio_rel = Path(os.path.relpath(audio_root, manifest_path.parent)).as_posix()
         rows = []
         for i, row in enumerate(manifest.rows):
             freq = base + scale * float(np.clip(values[i], -3.0, 3.0))
-            rel = f"{audio_dir}/{row.utt_id}.wav"
-            write_wav(_resolve_path(resolved, rel),
+            write_wav(audio_root / f"{row.utt_id}.wav",
                       synth.gen_tone(freq, dur, sr=sr, amplitude=0.5))
-            rows.append(replace(row, audio_path=rel))
+            rows.append(replace(row, audio_path=f"{audio_rel}/{row.utt_id}.wav"))
         manifest = dataclasses.replace(manifest, rows=tuple(rows))
 
-    write_manifest(manifest, _resolve_path(resolved, resolved["manifest"]))
+    write_manifest(manifest, manifest_path)
 
     systems = scfg.get("systems") or {name: {} for name in resolved["embeddings"]}
     for name in sorted(systems):
@@ -518,6 +543,8 @@ def cmd_sweep(resolved: dict) -> list[dict]:
     if not scfg:
         raise ValueError("config has no sweep section")
     rates = tuple(float(r) for r in scfg.get("rates", PerturbSweepConfig().rates))
+    for rate in rates:
+        check_rate(rate)
     files = {}
     if scfg.get("score_files"):
         for key, path in scfg["score_files"].items():
@@ -587,6 +614,7 @@ def main(argv=None) -> int:
     failures_path.unlink(missing_ok=True)  # a successful rerun leaves none behind
 
     try:
+        check_config_keys(resolved)
         for task in resolved["tasks"]:
             validate_task(task)
         if args.command == "probe":

@@ -124,17 +124,29 @@ def mse(pred, target) -> float:
     return float(np.mean((p - t) ** 2))
 
 
-def backward(probe: MLPProbe, X, targets) -> dict[str, np.ndarray]:
-    """Exact gradients of the mean batch loss w.r.t. every parameter."""
+class Gradients(dict):
+    """Parameter name -> gradient array; `loss` is the mean batch loss they
+    differentiate, from the same forward pass."""
+
+    def __init__(self, grads: dict[str, np.ndarray], loss: float):
+        super().__init__(grads)
+        self.loss = loss
+
+
+def backward(probe: MLPProbe, X, targets) -> Gradients:
+    """Exact gradients of the mean batch loss w.r.t. every parameter, and
+    that loss (cross-entropy or MSE), from one pass through the layers."""
     X = _as_batch(probe, X)
     n = X.shape[0]
     z1, h1, z2, h2, out = _affine_stack(probe, X)
     if probe.task_kind == "classification":
+        loss = cross_entropy(out, targets)
         t = np.asarray(targets, dtype=np.int64).reshape(-1)
         dout = softmax(out)
         dout[np.arange(n), t] -= 1.0
         dout /= n
     else:
+        loss = mse(out.reshape(-1), targets)
         t = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
         dout = 2.0 * (out - t) / n
     gW3 = dout.T @ h2
@@ -147,7 +159,8 @@ def backward(probe: MLPProbe, X, targets) -> dict[str, np.ndarray]:
     dz1 = dh1 * (z1 > 0.0)
     gW1 = dz1.T @ X
     gb1 = dz1.sum(axis=0)
-    return {"W1": gW1, "b1": gb1, "W2": gW2, "b2": gb2, "W3": gW3, "b3": gb3}
+    return Gradients({"W1": gW1, "b1": gb1, "W2": gW2, "b2": gb2, "W3": gW3, "b3": gb3},
+                     loss)
 
 
 @dataclass
@@ -252,14 +265,9 @@ def train(probe: MLPProbe, dataset, cfg: TrainConfig) -> tuple[MLPProbe, TrainHi
             idx = order[start:start + cfg.batch_size]
             Xb = X[idx]
             yb = y[idx]
-            out = forward(probe, Xb)
-            if probe.task_kind == "classification":
-                loss = cross_entropy(out, yb)
-            else:
-                loss = mse(out.reshape(-1), yb)
             grads = backward(probe, Xb, yb)
             adam_step(probe, state, grads)
-            total += loss * len(idx)
+            total += grads.loss * len(idx)
         losses.append(total / n)
         lrs.append(lr)
     return probe, TrainHistory(losses=losses, lrs=lrs)

@@ -7,6 +7,7 @@ distance analysis. All extractors are deterministic.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import struct
@@ -119,9 +120,82 @@ def duration(w: Waveform) -> float:
 
 
 def _frame_signal(x: np.ndarray, frame: int, hop: int) -> np.ndarray:
-    n_frames = 1 + (len(x) - frame) // hop
-    idx = np.arange(frame)[None, :] + hop * np.arange(n_frames)[:, None]
-    return x[idx]
+    """Read-only view of the frames of `x` that fit whole, one per row."""
+    return np.lib.stride_tricks.sliding_window_view(x, frame)[::hop]
+
+
+@functools.lru_cache(maxsize=4)
+def _f0_phase_tables(nfft: int, oversample: int) -> tuple[np.ndarray, ...]:
+    """Read-only tables for evaluating the oversampled autocorrelation.
+
+    `cos_lag[m], sin_lag[m]` are cos and sin of 2*pi*m/nfft, the phase that
+    moves spectrum bin k to integer lag l at m = k*l mod nfft. `cos_fine[d, k]`
+    (d = 0..oversample) and `sin_fine[d - 1, k]` (d = 1..oversample) are
+    c_k * cos and c_k * sin of 2*pi*k*d/(nfft*oversample), weighted as the
+    inverse FFT of length nfft*oversample weighs the bins: c_0 = 1, c_k = 2
+    for the others, and the Nyquist bin k = nfft/2 is interior (2) once the
+    spectrum is zero-padded, oversample > 1, and the edge (1) otherwise.
+    """
+    phase = 2.0 * np.pi * np.arange(nfft) / nfft
+    k = np.arange(nfft // 2 + 1)
+    d = np.arange(oversample + 1)[:, None]
+    fine = 2.0 * np.pi * (d * k) / (nfft * oversample)
+    weight = np.full(k.size, 2.0)
+    weight[0] = 1.0
+    if oversample == 1:
+        weight[-1] = 1.0
+    tables = (np.cos(phase), np.sin(phase), weight * np.cos(fine), weight * np.sin(fine[1:]))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _frame_power(frames: np.ndarray, nfft: int) -> np.ndarray:
+    """Power spectrum of each mean-removed frame, zero-padded to nfft, as a
+    complex array with zero imaginary part: the inverse FFT takes it as is,
+    where a real input costs it a converted copy."""
+    spec = np.fft.rfft(frames - frames.mean(axis=1, keepdims=True), nfft, axis=1)
+    power = np.square(spec.real, out=spec.real)
+    power += np.square(spec.imag, out=spec.imag)
+    spec.imag = 0.0
+    return spec
+
+
+def _integer_lag_acf(power: np.ndarray, lags: np.ndarray,
+                     oversample: int) -> tuple[np.ndarray, np.ndarray]:
+    """Autocorrelation of each frame at lag 0 and at the contiguous `lags`,
+    as the inverse FFT of length nfft*oversample gives them: with
+    oversample > 1 that FFT counts the zero-padded spectrum's Nyquist bin
+    twice, this one once, so the missing half is added back."""
+    nfft = 2 * (power.shape[1] - 1)
+    acf = np.fft.irfft(power, nfft, axis=1)
+    nyquist = power[:, -1, None].real / nfft * (oversample > 1)
+    seg = acf[:, lags[0]:lags[-1] + 1] + nyquist * np.where(lags % 2, -1.0, 1.0)
+    return acf[:, 0] + nyquist[:, 0], seg
+
+
+def _fine_lag_acf(power: np.ndarray, lag: np.ndarray, oversample: int) -> np.ndarray:
+    """Unnormalized autocorrelation of each row of `power` at the fine lags
+    lag + d/oversample, d = -oversample..oversample (one column each).
+
+    It is the direct DFT sum_k c_k P_k cos(theta_k + phi_kd) with
+    theta_k = 2 pi k lag / nfft and phi_kd = 2 pi k d / (nfft oversample):
+    cos(theta) cos(phi) is even in d and sin(theta) sin(phi) odd, so 2 *
+    oversample + 1 columns cost oversample + 1 and oversample sums. einsum
+    runs its own loops, never a BLAS product that spreads over threads.
+    """
+    nfft = 2 * (power.shape[1] - 1)
+    cos_lag, sin_lag, cos_fine, sin_fine = _f0_phase_tables(nfft, oversample)
+    phase = np.multiply.outer(lag, np.arange(power.shape[1]))
+    phase &= nfft - 1  # mod nfft, a power of 2
+    shifted = cos_lag[phase]
+    shifted *= power
+    even = np.einsum("fk,dk->fd", shifted, cos_fine)  # d = 0..oversample
+    shifted = sin_lag[phase]
+    shifted *= power
+    odd = np.einsum("fk,dk->fd", shifted, sin_fine)  # d = 1..oversample
+    return np.concatenate([(even[:, 1:] + odd)[:, ::-1], even[:, :1],
+                           even[:, 1:] - odd], axis=1)
 
 
 def f0_mean(w: Waveform, floor_hz: float = 75.0, ceiling_hz: float = 600.0,
@@ -132,15 +206,19 @@ def f0_mean(w: Waveform, floor_hz: float = 75.0, ceiling_hz: float = 600.0,
     Per frame, the mean-removed signal's autocorrelation is normalized at
     lag zero and compensated for the shrinking overlap at larger lags
     (boxcar-window correction N/(N-tau)), so a pure tone peaks at ~1 at its
-    period regardless of where it sits in the search band. The lag grid is
-    oversampled via spectrum zero-padding and the first local peak at or
-    above the voicing threshold is refined parabolically. Frames without
-    such a peak are unvoiced and excluded from the average.
+    period regardless of where it sits in the search band. The pitch peak is
+    the first strict local maximum at or above the voicing threshold on the
+    integer lags of the band; frames without one are unvoiced and excluded
+    from the average. Around that peak only, the autocorrelation is
+    evaluated on a lag grid `oversample` times finer (the values a
+    zero-padded inverse FFT of length nfft*oversample would give), and its
+    maximum there is refined parabolically.
 
     Parameters
     ----------
-    floor_hz, ceiling_hz : search band; the peak must be a local maximum
-        strictly inside [1/ceiling, 1/floor] seconds of lag.
+    floor_hz, ceiling_hz : search band; the chosen integer lag is a local
+        maximum inside [1/ceiling, 1/floor] seconds of lag, and the refined
+        lag lies within one sample of it.
     voicing_threshold : minimum normalized autocorrelation for voicing.
 
     Raises
@@ -153,6 +231,8 @@ def f0_mean(w: Waveform, floor_hz: float = 75.0, ceiling_hz: float = 600.0,
         raise ValueError("need 0 < floor_hz < ceiling_hz")
     if ceiling_hz >= sr / 2:
         raise ValueError("ceiling_hz must be below Nyquist")
+    if oversample < 1:
+        raise ValueError("oversample must be >= 1")
     n = int(round(frame_len * sr))
     hopn = max(1, int(round(hop * sr)))
     if n < int(math.ceil(2.0 * sr / floor_hz)):
@@ -160,43 +240,46 @@ def f0_mean(w: Waveform, floor_hz: float = 75.0, ceiling_hz: float = 600.0,
     x = w.samples
     if len(x) < n:
         raise UnvoicedAudioError("unvoiced audio")
-    frames = _frame_signal(x, n, hopn)
-    frames = frames - frames.mean(axis=1, keepdims=True)
-    nfft = 1 << int(2 * n - 1).bit_length()
-    spec = np.fft.rfft(frames, nfft, axis=1)
-    power = spec.real ** 2 + spec.imag ** 2
-    fine = np.fft.irfft(power, nfft * oversample, axis=1)
-    r0 = fine[:, 0]
-
     j_min = max(oversample, int(math.ceil(sr / ceiling_hz * oversample)))
     j_max = min(int(math.floor(sr / floor_hz * oversample)), (n - 1) * oversample)
-    if j_min + 1 >= j_max:
+    l_min = -(-j_min // oversample)
+    l_max = j_max // oversample
+    if j_min + 1 >= j_max or l_min > l_max:
         raise ValueError("empty lag search band")
-    lags = np.arange(j_min - 1, j_max + 2) / oversample
-    correction = n / (n - lags)
+    nfft = 1 << int(2 * n - 1).bit_length()
+    spec = _frame_power(_frame_signal(x, n, hopn), nfft)
 
-    voiced: list[float] = []
-    for k in range(frames.shape[0]):
-        if r0[k] <= 0.0:  # silent frame
-            continue
-        seg = fine[k, j_min - 1:j_max + 2] / r0[k] * correction
-        inner = seg[1:-1]
-        peaks = np.flatnonzero((inner > seg[:-2]) & (inner > seg[2:]))
-        chosen = -1
-        for p in peaks:  # first peak at/above threshold, in lag order
-            if inner[p] >= voicing_threshold:
-                chosen = int(p)
-                break
-        if chosen < 0:
-            continue
-        a, b, c = seg[chosen], seg[chosen + 1], seg[chosen + 2]
-        denom = a - 2.0 * b + c
-        shift = 0.0 if denom == 0.0 else 0.5 * (a - c) / denom
-        lag = (j_min + chosen + shift) / oversample
-        voiced.append(sr / lag)
-    if not voiced:
+    # the pitch peak, on the integer lags of the band and one either side
+    lags = np.arange(l_min - 1, l_max + 2)
+    r0, seg = _integer_lag_acf(spec, lags, oversample)
+    loud = np.flatnonzero(r0 > 0.0)  # silent frames are skipped
+    seg = seg[loud]
+    seg *= (n / (n - lags)) / r0[loud, None]
+    inner = seg[:, 1:-1]
+    peak = (inner > seg[:, :-2]) & (inner > seg[:, 2:]) & (inner >= voicing_threshold)
+    voiced = peak.any(axis=1)
+    if not voiced.any():
         raise UnvoicedAudioError("unvoiced audio")
-    return float(np.mean(voiced))
+    rows = loud[voiced]
+    lag = l_min + np.argmax(peak[voiced], axis=1)  # the first such peak
+
+    # the fine grid around it; the spectrum is freed for its temporaries
+    power = spec.real[rows]
+    del spec
+    fine = _fine_lag_acf(power, lag, oversample)
+    fine_lags = lag[:, None] + np.arange(-oversample, oversample + 1) / oversample
+    fine *= (n / (n - fine_lags)) / (nfft * r0[rows, None])
+    # The ends lie below the integer peak, so the fine maximum is interior;
+    # the clip only guards against rounding on a flat-topped peak.
+    m = np.clip(np.argmax(fine, axis=1), 1, 2 * oversample - 1)
+    idx = np.arange(len(m))
+    a, b, c = fine[idx, m - 1], fine[idx, m], fine[idx, m + 1]
+    denom = a - 2.0 * b + c
+    flat = denom == 0.0
+    shift = 0.5 * (a - c) / np.where(flat, 1.0, denom)
+    shift[flat] = 0.0
+    fine_lag = (lag * oversample + (m - oversample) + shift) / oversample
+    return float(np.mean(sr / fine_lag))
 
 
 def speaking_rate(transcript: str | None, dur: float) -> float:

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 import yaml
 
-from embprobe.cli import (REPORT_SCHEMA, cmd_perturb, config_fingerprint, main,
-                          resolve_config, validate_task)
+from embprobe.cli import (REPORT_SCHEMA, check_config_keys, cmd_perturb,
+                          config_fingerprint, main, resolve_config, validate_task)
 from embprobe.data_model import load_embeddings, load_manifest
 from embprobe.distance_analysis import write_frames
 from embprobe.trait_extract import read_trait_csv, read_wav
@@ -209,6 +209,59 @@ def test_unknown_config_section_errors(tmp_path):
     assert run("sweep", cfg_path) == 1
 
 
+@pytest.mark.parametrize("typo, path", [
+    ({"distnce": {"system": "cm"}}, "distnce"),
+    ({"train": {"epoch": 1}}, "train.epoch"),
+    ({"metrics": {"nboot": 10}}, "metrics.nboot"),
+    ({"partition": {"train_frac": 0.5}}, "partition.train_frac"),
+])
+def test_config_typo_fails_before_any_work(tmp_path, typo, path):
+    outdir = tmp_path / "out"
+    cfg = pipeline_config(outdir)
+    cfg.update({key: {**cfg.get(key, {}), **value} for key, value in typo.items()})
+    with pytest.raises(ValueError, match=rf"unknown config key '{path}'"):
+        check_config_keys(resolve_config(cfg))
+    assert run("synth", write_config(tmp_path, cfg)) == 1
+    error = json.loads((outdir / "failures.json").read_text())["failures"][0]["error"]
+    assert f"unknown config key '{path}'" in error
+    assert sorted(p.name for p in outdir.iterdir()) == ["failures.json"]
+
+
+def test_sweep_bad_rate_fails_before_reading_scores(tmp_path):
+    outdir = tmp_path / "out"
+    cfg = pipeline_config(outdir)
+    cfg["sweep"]["rates"] = [1.0, 2.5]
+    cfg_path = write_config(tmp_path, cfg)
+    assert run("sweep", cfg_path) == 1
+    error = json.loads((outdir / "failures.json").read_text())["failures"][0]["error"]
+    assert "rate 2.5 outside" in error
+    assert not (outdir / "sweep_eer.csv").exists()
+
+
+def test_manifest_in_subdirectory_resolves_audio(tmp_path):
+    outdir = tmp_path / "out"
+    cfg = pipeline_config(outdir)
+    cfg["manifest"] = "data/manifest.csv"
+    cfg["synth"].update(n_speakers=2, utts_per_speaker=4)
+    cfg["distance"]["kinds"] = ["encoder_spectral"]
+    cfg["perturb"]["rates"] = [1.1]
+    cfg_path = write_config(tmp_path, cfg)
+    for cmd in ("synth", "traits", "distance", "perturb"):
+        assert run(cmd, cfg_path) == 0, cmd
+    manifest = load_manifest(outdir / "data" / "manifest.csv")
+    assert {r.audio_path for r in manifest.rows} == {
+        f"../audio/{r.utt_id}.wav" for r in manifest.rows}
+    traits = read_trait_csv(outdir / "traits.csv")
+    assert all(tv.f0_mean is not None for tv in traits.values())
+    assert len(list((outdir / "perturbed" / "r1.1").glob("*.wav"))) == len(manifest.rows)
+
+
+def test_default_layout_audio_paths_unchanged(pipeline):
+    outdir, _, _ = pipeline
+    manifest = load_manifest(outdir / "manifest.csv")
+    assert all(r.audio_path == f"audio/{r.utt_id}.wav" for r in manifest.rows)
+
+
 def test_validate_task_rules():
     validate_task({"trait": "gender", "kind": "classification", "scheme": "T02"})
     validate_task({"trait": "attack_type", "kind": "classification", "scheme": "T03"})
@@ -344,3 +397,37 @@ def test_cli_import_loads_neither_yaml_nor_thread_pool():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "[]"
+
+
+def test_probe_outputs_independent_of_jobs_and_blas_threads(tmp_path):
+    """probe_report.json and every .prb file are byte-identical with one or two
+    task workers, and with BLAS single-threaded or left at its default."""
+    import embprobe
+    outdir = tmp_path / "out"
+    cfg = pipeline_config(outdir)
+    # dim 48 x hidden 256 makes the layer products large enough for BLAS to
+    # split them over threads when it may
+    cfg["synth"].update(n_speakers=6, utts_per_speaker=6, dim=48)
+    cfg["synth"].pop("audio")
+    cfg["tasks"] = [{"trait": "gender", "kind": "classification", "scheme": "T02"},
+                    {"trait": "attack_id", "kind": "classification", "scheme": "T03"}]
+    cfg["train"] = {"epochs": 3, "hidden_dim": 256}
+    cfg["metrics"] = {"n_boot": 100, "n_perm": 100}
+    cfg_path = write_config(tmp_path, cfg)
+    for cmd in ("synth", "partition"):
+        assert run(cmd, cfg_path) == 0, cmd
+    src = str(Path(embprobe.__file__).resolve().parents[1])
+    outputs = set()
+    for jobs in ("1", "2"):
+        for blas in ("1", None):
+            env = dict(os.environ, PYTHONPATH=src)
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if blas is not None:
+                env["OPENBLAS_NUM_THREADS"] = blas
+            subprocess.run([sys.executable, "-m", "embprobe.cli", "probe", "--config", cfg_path,
+                            "--jobs", jobs], check=True, env=env, timeout=300)
+            probes = sorted((outdir / "probes").glob("*.prb"))
+            assert len(probes) == 2
+            outputs.add(((outdir / "probe_report.json").read_bytes(),
+                         tuple((p.name, p.read_bytes()) for p in probes)))
+    assert len(outputs) == 1

@@ -203,6 +203,16 @@ def test_backward_mse_gradient_linear_in_residual(rng):
     assert np.allclose(g2["b3"], 2.0 * g1["b3"])
 
 
+@pytest.mark.parametrize("kind", ["classification", "regression"])
+def test_backward_loss_is_the_forward_loss(kind, rng):
+    probe = init_probe(6, 5, 3 if kind == "classification" else 1, kind, seed=2)
+    X = rng.normal(size=(7, 6))
+    y = rng.integers(0, 3, size=7) if kind == "classification" else rng.normal(size=7)
+    out = forward(probe, X)
+    expected = cross_entropy(out, y) if kind == "classification" else mse(out.reshape(-1), y)
+    assert backward(probe, X, y).loss == expected
+
+
 # --- adam ---
 
 def _unit_probe():
@@ -273,6 +283,54 @@ def test_train_deterministic():
         runs.append((list(hist.losses), probe.W3.copy()))
     assert runs[0][0] == runs[1][0]
     assert np.array_equal(runs[0][1], runs[1][1])
+
+
+def _two_pass_train(probe, dataset, cfg):
+    """The earlier training loop: forward for the loss, then backward, which
+    recomputed the same layers."""
+    n = len(dataset)
+    y = dataset.y
+    if probe.task_kind == "regression":
+        mean, std = float(np.mean(y)), float(np.std(y)) or 1.0
+        probe.target_mean, probe.target_std = mean, std
+        y = (y - mean) / std
+    state = AdamState.for_probe(probe, lr=cfg.initial_lr)
+    losses = []
+    for epoch in range(cfg.epochs):
+        state.lr = cfg.initial_lr * cfg.decay_factor ** (epoch // cfg.decay_every)
+        order = make_rng(cfg.seed, "shuffle", epoch).permutation(n)
+        total = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            out = forward(probe, dataset.X[idx])
+            if probe.task_kind == "classification":
+                loss = cross_entropy(out, y[idx])
+            else:
+                loss = mse(out.reshape(-1), y[idx])
+            adam_step(probe, state, backward(probe, dataset.X[idx], y[idx]))
+            total += loss * len(idx)
+        losses.append(total / n)
+    return losses
+
+
+@pytest.mark.parametrize("kind", ["classification", "regression"])
+def test_train_single_pass_matches_two_pass_loop(kind, monkeypatch):
+    rng = make_rng(5, "single-pass", kind)
+    X = rng.normal(size=(70, 9))
+    y = rng.integers(0, 3, size=70) if kind == "classification" else rng.normal(size=70)
+    out_dim = 3 if kind == "classification" else 1
+    cfg = TrainConfig(epochs=5, batch_size=16, initial_lr=0.01, decay_every=2, seed=8)
+    reference = init_probe(9, 12, out_dim, kind, seed=6)
+    expected = _two_pass_train(reference, make_dataset(X, y, kind), cfg)
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("train ran a separate forward pass")
+
+    monkeypatch.setattr("embprobe.probe_net.forward", no_forward)
+    probe, hist = train(init_probe(9, 12, out_dim, kind, seed=6), make_dataset(X, y, kind), cfg)
+    assert hist.losses == expected  # bit for bit
+    for name, value in reference.params().items():
+        assert np.array_equal(getattr(probe, name), value), name
 
 
 def test_train_separable_converges():

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from embprobe.perturbation import speed_perturb
 from embprobe.rng import make_rng
 from embprobe.synth import gen_tone
 from embprobe.trait_extract import (TraitValues, UnvoicedAudioError, Waveform,
@@ -126,6 +127,132 @@ def test_f0_band_validation():
         f0_mean(w, floor_hz=500.0, ceiling_hz=100.0)
     with pytest.raises(ValueError, match="frame too short"):
         f0_mean(w, floor_hz=20.0, ceiling_hz=600.0)  # 40 ms < 2 periods at 20 Hz
+
+
+def _reference_f0_mean(w, floor_hz=75.0, ceiling_hz=600.0, frame_len=0.040, hop=0.010,
+                       voicing_threshold=0.45, oversample=8):
+    """The earlier f0_mean, kept as the reference: the full zero-padded
+    inverse FFT of length nfft*oversample per frame, and the first fine-grid
+    peak at or above the threshold."""
+    sr = w.sample_rate
+    if floor_hz <= 0 or floor_hz >= ceiling_hz:
+        raise ValueError("need 0 < floor_hz < ceiling_hz")
+    if ceiling_hz >= sr / 2:
+        raise ValueError("ceiling_hz must be below Nyquist")
+    n = int(round(frame_len * sr))
+    hopn = max(1, int(round(hop * sr)))
+    if n < int(math.ceil(2.0 * sr / floor_hz)):
+        raise ValueError("frame too short: need at least two periods at floor_hz")
+    x = w.samples
+    if len(x) < n:
+        raise UnvoicedAudioError("unvoiced audio")
+    n_frames = 1 + (len(x) - n) // hopn
+    frames = x[np.arange(n)[None, :] + hopn * np.arange(n_frames)[:, None]]
+    frames = frames - frames.mean(axis=1, keepdims=True)
+    nfft = 1 << int(2 * n - 1).bit_length()
+    spec = np.fft.rfft(frames, nfft, axis=1)
+    power = spec.real ** 2 + spec.imag ** 2
+    fine = np.fft.irfft(power, nfft * oversample, axis=1)
+    r0 = fine[:, 0]
+
+    j_min = max(oversample, int(math.ceil(sr / ceiling_hz * oversample)))
+    j_max = min(int(math.floor(sr / floor_hz * oversample)), (n - 1) * oversample)
+    if j_min + 1 >= j_max:
+        raise ValueError("empty lag search band")
+    lags = np.arange(j_min - 1, j_max + 2) / oversample
+    correction = n / (n - lags)
+
+    voiced = []
+    for k in range(frames.shape[0]):
+        if r0[k] <= 0.0:  # silent frame
+            continue
+        seg = fine[k, j_min - 1:j_max + 2] / r0[k] * correction
+        inner = seg[1:-1]
+        peaks = np.flatnonzero((inner > seg[:-2]) & (inner > seg[2:]))
+        chosen = -1
+        for p in peaks:  # first peak at/above threshold, in lag order
+            if inner[p] >= voicing_threshold:
+                chosen = int(p)
+                break
+        if chosen < 0:
+            continue
+        a, b, c = seg[chosen], seg[chosen + 1], seg[chosen + 2]
+        denom = a - 2.0 * b + c
+        shift = 0.0 if denom == 0.0 else 0.5 * (a - c) / denom
+        lag = (j_min + chosen + shift) / oversample
+        voiced.append(sr / lag)
+    if not voiced:
+        raise UnvoicedAudioError("unvoiced audio")
+    return float(np.mean(voiced))
+
+
+# On a single clear peak both pick the same lag; only rounding differs.
+F0_REFERENCE_TOL_HZ = 1e-9
+
+
+@pytest.mark.parametrize("dur", [0.25, 0.3, 1.0, 4.0])
+def test_f0_matches_reference_on_pure_tones(dur):
+    freqs = np.linspace(76.0, 590.0, 12 if dur == 4.0 else 40)
+    for freq in freqs:
+        w = gen_tone(float(freq), dur)
+        assert abs(f0_mean(w) - _reference_f0_mean(w)) <= F0_REFERENCE_TOL_HZ, freq
+
+
+def test_f0_matches_reference_on_speed_perturbed_tones():
+    for freq in (110.0, 200.0, 330.0):
+        base = gen_tone(freq, 0.5)
+        for rate in (0.8, 0.9, 1.1, 1.2):
+            w = speed_perturb(base, rate)
+            assert abs(f0_mean(w) - _reference_f0_mean(w)) <= F0_REFERENCE_TOL_HZ, (freq, rate)
+
+
+def test_f0_matches_reference_with_nondefault_parameters():
+    w = gen_tone(180.0, 0.3)
+    for kwargs in ({"oversample": 1}, {"oversample": 3}, {"oversample": 16},
+                   {"floor_hz": 100.0, "ceiling_hz": 400.0}, {"frame_len": 0.03, "hop": 0.005},
+                   {"voicing_threshold": 0.9}):
+        assert abs(f0_mean(w, **kwargs) - _reference_f0_mean(w, **kwargs)) <= 1e-9, kwargs
+
+
+def test_f0_voiced_silent_voiced_skips_silent_frames():
+    tone = gen_tone(150.0, 0.3).samples
+    w = Waveform(np.concatenate([tone, np.zeros(8000), gen_tone(240.0, 0.3).samples]), 16000)
+    est = f0_mean(w)
+    assert abs(est - _reference_f0_mean(w)) <= F0_REFERENCE_TOL_HZ
+    # the silent middle adds no frames: the mean stays between the two tones
+    assert 150.0 < est < 240.0
+
+
+def test_f0_silence_and_short_audio_unvoiced_like_reference():
+    for w in (Waveform(np.zeros(16000), 16000), Waveform(np.full(8000, 0.25), 16000),
+              gen_tone(200.0, 0.03)):
+        with pytest.raises(UnvoicedAudioError, match="unvoiced audio"):
+            _reference_f0_mean(w)
+        with pytest.raises(UnvoicedAudioError, match="unvoiced audio"):
+            f0_mean(w)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"floor_hz": 500.0, "ceiling_hz": 100.0},
+    {"floor_hz": 0.0},
+    {"ceiling_hz": 8000.0},
+    {"floor_hz": 20.0},
+    {"floor_hz": 599.0, "ceiling_hz": 600.0},
+])
+def test_f0_invalid_parameters_raise_as_reference(kwargs):
+    w = gen_tone(200.0, 0.5)
+    with pytest.raises(ValueError) as expected:
+        _reference_f0_mean(w, **kwargs)
+    with pytest.raises(ValueError, match=f"^{expected.value}$"):
+        f0_mean(w, **kwargs)
+
+
+def test_f0_band_without_integer_lag_is_empty():
+    # 16000/100.5 .. 16000/100.2 = 159.2 .. 159.7 samples: no whole lag inside
+    with pytest.raises(ValueError, match="empty lag search band"):
+        f0_mean(gen_tone(100.3, 0.5), floor_hz=100.2, ceiling_hz=100.5)
+    with pytest.raises(ValueError, match="oversample"):
+        f0_mean(gen_tone(200.0, 0.5), oversample=0)
 
 
 # --- speaking rate ---
@@ -291,3 +418,4 @@ def test_extract_traits_full():
     assert abs(values.f0_mean - 220.0) < 1.0
     assert values.speaking_rate == 3.0
     assert "f0_mean" not in failures
+
