@@ -7,6 +7,10 @@ files.
 """
 from __future__ import annotations
 
+if __name__ == "__main__":  # `python -m embprobe.cli`; numpy is not loaded yet
+    from . import pin_blas_threads
+    pin_blas_threads()
+
 import argparse
 import copy
 import dataclasses
@@ -102,25 +106,67 @@ DEFAULTS = {
 }
 
 
-# Sections whose every key is listed in DEFAULTS; the others are read by the
-# commands that use them.
-CHECKED_SECTIONS = ("partition", "train", "metrics")
+# Keys of a synthetic-corpus spec: the synth section and each of its
+# per-system overrides take them.
+SYNTH_SPEC_KEYS = ("n_speakers", "utts_per_speaker", "dim", "planted", "noise_sigma",
+                   "seed", "spoof_fraction", "attack_ids")
+# Every key of the sections that DEFAULTS leaves as None (each may be absent)
+# and of the mappings inside synth.
+SECTION_KEYS = {
+    "distance": ("system", "kinds", "features_dir", "chunk_seconds", "bins"),
+    "perturb": ("rates", "audio_outdir"),
+    "sweep": ("rates", "score_files", "score_dir"),
+    "synth": SYNTH_SPEC_KEYS + ("audio", "scores", "systems"),
+    "synth.audio": ("dir", "duration_s", "sr", "freq_trait", "freq_base", "freq_scale"),
+    "synth.scores": ("dir", "rates", "n_bonafide", "n_spoof", "base_separation", "decay"),
+}
+PLANTED_KEYS = ("trait", "kind", "strength")
+TASK_KEYS = ("trait", "kind", "scheme")
 
 
 def check_config_keys(resolved: dict) -> None:
-    """Raise ValueError naming the dotted path of the first unknown key at the
-    top level or in a CHECKED_SECTIONS section."""
-    def check(section: dict, known, prefix: str) -> None:
-        for key in section:
+    """Raise ValueError naming the dotted path of the first unknown key, or of
+    a section that is not a mapping, anywhere in the config."""
+    def mapping(section, path: str) -> dict:
+        if not isinstance(section, dict):
+            raise ValueError(f"config key {path!r} must be a mapping")
+        return section
+
+    def check(section, known, path: str) -> None:
+        for key in mapping(section, path):
             if key not in known:
-                raise ValueError(f"unknown config key {prefix + str(key)!r} "
+                dotted = f"{path}.{key}" if path else str(key)
+                raise ValueError(f"unknown config key {dotted!r} "
                                  f"(known: {', '.join(sorted(known))})")
 
     check(resolved, DEFAULTS, "")
-    for name in CHECKED_SECTIONS:
-        if not isinstance(resolved[name], dict):
-            raise ValueError(f"config key {name!r} must be a mapping")
-        check(resolved[name], DEFAULTS[name], f"{name}.")
+    mapping(resolved["embeddings"], "embeddings")
+    for name in ("partition", "train", "metrics"):
+        check(resolved[name], DEFAULTS[name], name)
+    for name in ("distance", "perturb", "sweep"):
+        if resolved[name] is not None:
+            check(resolved[name], SECTION_KEYS[name], name)
+    synth = resolved["synth"]
+    if synth is None:
+        synth = {}
+    check(synth, SECTION_KEYS["synth"], "synth")
+    for name in ("audio", "scores"):
+        if synth.get(name) is not None:
+            check(synth[name], SECTION_KEYS[f"synth.{name}"], f"synth.{name}")
+    specs = {"synth": synth}
+    systems = synth.get("systems")
+    if systems is not None:
+        for name, spec in mapping(systems, "synth.systems").items():
+            path = f"synth.systems.{name}"
+            specs[path] = spec if spec is not None else {}
+            check(specs[path], SYNTH_SPEC_KEYS, path)
+    for path, spec in specs.items():
+        for i, item in enumerate(spec.get("planted") or []):
+            check(item, PLANTED_KEYS, f"{path}.planted[{i}]")
+    if not isinstance(resolved["tasks"], list):
+        raise ValueError("config key 'tasks' must be a list")
+    for i, task in enumerate(resolved["tasks"]):
+        check(task, TASK_KEYS, f"tasks[{i}]")
 
 
 def _deep_merge(base, override):

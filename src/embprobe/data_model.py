@@ -211,13 +211,6 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @classmethod
-    def from_entries(cls, entries: dict[str, np.ndarray]) -> "EmbeddingTable":
-        if not entries:
-            raise ValueError("empty table")
-        first = np.asarray(next(iter(entries.values())))
-        return cls(dim=int(first.shape[0]), entries=dict(entries))
-
 
 def _read_emb_binary(path: Path) -> EmbeddingTable:
     data = path.read_bytes()

@@ -23,8 +23,30 @@ PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3")
 DEFAULT_HIDDEN_DIM = 256
 
 
+def _param_shapes(input_dim: int, hidden_dim: int,
+                 output_dim: int) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter, in PARAM_NAMES (PRB1 layer) order."""
+    return {"W1": (hidden_dim, input_dim), "b1": (hidden_dim,),
+            "W2": (hidden_dim, hidden_dim), "b2": (hidden_dim,),
+            "W3": (output_dim, hidden_dim), "b3": (output_dim,)}
+
+
+def _split_params(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Name -> view of `flat` with that shape, consecutive in `shapes` order."""
+    out, start = {}, 0
+    for name, shape in shapes.items():
+        stop = start + math.prod(shape)
+        out[name] = flat[start:stop].reshape(shape)
+        start = stop
+    return out
+
+
 @dataclass
 class MLPProbe:
+    """A probe whose six parameters live in one float64 vector, `theta`, in
+    PARAM_NAMES order; `W1`...`b3` are views into it. Assigning a parameter
+    copies into its view, and copies and pickles rebuild the views, so
+    `theta` always holds the current values."""
     input_dim: int
     hidden_dim: int
     output_dim: int
@@ -39,6 +61,41 @@ class MLPProbe:
     # z-score stats of the regression target, captured during training
     target_mean: float = 0.0
     target_std: float = 1.0
+    theta: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        shapes = _param_shapes(self.input_dim, self.hidden_dim, self.output_dim)
+        given = {name: np.asarray(getattr(self, name), dtype=np.float64)
+                 for name in PARAM_NAMES}
+        for name, shape in shapes.items():
+            if given[name].shape != shape:
+                raise ValueError(f"{name} has shape {given[name].shape}, expected {shape}")
+        theta = np.concatenate([given[name].reshape(-1) for name in PARAM_NAMES])
+        vars(self).update(_split_params(theta, shapes), theta=theta)
+
+    def __setattr__(self, name, value):
+        if name in PARAM_NAMES and "theta" in vars(self):
+            view = getattr(self, name)
+            value = np.asarray(value, dtype=np.float64)
+            if value.shape != view.shape:
+                raise ValueError(f"{name} has shape {value.shape}, expected {view.shape}")
+            view[...] = value
+        else:
+            object.__setattr__(self, name, value)
+
+    def __getstate__(self):
+        # copy and pickle would turn the views into arrays of their own
+        return {k: v for k, v in vars(self).items() if k not in PARAM_NAMES}
+
+    def __setstate__(self, state):
+        vars(self).update(state)
+        vars(self).update(self.views(self.theta))
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Parameter name -> the view of `flat` (laid out like `theta`)
+        shaped as that parameter."""
+        return _split_params(flat, _param_shapes(self.input_dim, self.hidden_dim,
+                                                 self.output_dim))
 
     def params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_NAMES}
@@ -126,10 +183,12 @@ def mse(pred, target) -> float:
 
 class Gradients(dict):
     """Parameter name -> gradient array; `loss` is the mean batch loss they
-    differentiate, from the same forward pass."""
+    differentiate, from the same forward pass. The arrays are views into one
+    vector, `flat`, laid out like the probe's `theta`."""
 
-    def __init__(self, grads: dict[str, np.ndarray], loss: float):
+    def __init__(self, flat: np.ndarray, grads: dict[str, np.ndarray], loss: float):
         super().__init__(grads)
+        self.flat = flat
         self.loss = loss
 
 
@@ -149,55 +208,80 @@ def backward(probe: MLPProbe, X, targets) -> Gradients:
         loss = mse(out.reshape(-1), targets)
         t = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
         dout = 2.0 * (out - t) / n
-    gW3 = dout.T @ h2
-    gb3 = dout.sum(axis=0)
+    flat = np.empty_like(probe.theta)
+    g = probe.views(flat)
+    np.matmul(dout.T, h2, out=g["W3"])
+    np.sum(dout, axis=0, out=g["b3"])
     dh2 = dout @ probe.W3
     dz2 = dh2 * (z2 > 0.0)
-    gW2 = dz2.T @ h1
-    gb2 = dz2.sum(axis=0)
+    np.matmul(dz2.T, h1, out=g["W2"])
+    np.sum(dz2, axis=0, out=g["b2"])
     dh1 = dz2 @ probe.W2
     dz1 = dh1 * (z1 > 0.0)
-    gW1 = dz1.T @ X
-    gb1 = dz1.sum(axis=0)
-    return Gradients({"W1": gW1, "b1": gb1, "W2": gW2, "b2": gb2, "W3": gW3, "b3": gb3},
-                     loss)
+    np.matmul(dz1.T, X, out=g["W1"])
+    np.sum(dz1, axis=0, out=g["b1"])
+    return Gradients(flat, g, loss)
 
 
 @dataclass
 class AdamState:
+    """Adam moments as flat vectors laid out like the probe's `theta`, plus
+    two scratch vectors of that size, so a step allocates nothing."""
     lr: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     t: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    scratch: tuple[np.ndarray, np.ndarray] = field(
+        default_factory=lambda: (np.zeros(0), np.zeros(0)))
 
     @classmethod
     def for_probe(cls, probe: MLPProbe, lr: float = 0.001, beta1: float = 0.9,
                   beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
-        for name, p in probe.params().items():
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        return state
+        return cls(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon,
+                   m=np.zeros_like(probe.theta), v=np.zeros_like(probe.theta),
+                   scratch=(np.empty_like(probe.theta), np.empty_like(probe.theta)))
 
 
 def adam_step(probe: MLPProbe, state: AdamState,
               grads: dict[str, np.ndarray]) -> tuple[MLPProbe, AdamState]:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update of the whole of `probe.theta`, in place.
+
+    `grads` is a `Gradients` from `backward` or any name -> array mapping; a
+    mapping is first packed into a scratch vector. The ops and their order
+    per element are those of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g^2,
+    p -= lr*(m/b1c) / (sqrt(v/b2c) + eps), so results are bit-identical to
+    the update done one parameter at a time."""
+    theta, m, v = probe.theta, state.m, state.v
+    if m.shape != theta.shape:
+        raise ValueError(f"Adam state holds {m.size} values for {theta.size} parameters")
+    a, b = state.scratch
+    if isinstance(grads, Gradients):
+        g = grads.flat
+    else:
+        g = a
+        for name, view in probe.views(a).items():
+            view[...] = grads[name]
     state.t += 1
     b1c = 1.0 - state.beta1 ** state.t
     b2c = 1.0 - state.beta2 ** state.t
-    for name, p in probe.params().items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        p -= state.lr * (m / b1c) / (np.sqrt(v / b2c) + state.epsilon)
+    m *= state.beta1
+    np.multiply(g, 1.0 - state.beta1, out=b)
+    m += b
+    v *= state.beta2
+    np.square(g, out=b)
+    b *= 1.0 - state.beta2
+    v += b
+    # g is dead from here on, so `a` may be reused even when it holds g
+    np.divide(m, b1c, out=a)
+    a *= state.lr
+    np.divide(v, b2c, out=b)
+    np.sqrt(b, out=b)
+    b += state.epsilon
+    a /= b
+    theta -= a
     return probe, state
 
 
@@ -302,8 +386,7 @@ def save_probe(probe: MLPProbe, path) -> None:
         raw = name.encode("utf-8")
         buf += struct.pack("<H", len(raw)) + raw
     buf += struct.pack("<dd", probe.target_mean, probe.target_std)
-    for name in PARAM_NAMES:
-        buf += np.ascontiguousarray(getattr(probe, name), dtype="<f4").tobytes()
+    buf += probe.theta.astype("<f4").tobytes()
     atomic_write_bytes(path, bytes(buf))
 
 
@@ -346,23 +429,17 @@ def _parse_probe(data: bytes, path) -> MLPProbe:
     pos += 16
     if not (math.isfinite(target_mean) and math.isfinite(target_std)):
         raise ValueError(f"{path}: non-finite target statistics")
-    shapes = {
-        "W1": (hidden_dim, input_dim), "b1": (hidden_dim,),
-        "W2": (hidden_dim, hidden_dim), "b2": (hidden_dim,),
-        "W3": (output_dim, hidden_dim), "b3": (output_dim,),
-    }
-    params = {}
-    for name in PARAM_NAMES:
-        count = math.prod(shapes[name])
-        if pos + 4 * count > len(data):
-            raise ValueError(f"{path}: truncated parameter block")
-        params[name] = np.frombuffer(data, dtype="<f4", count=count,
-                                     offset=pos).astype(np.float64).reshape(shapes[name])
-        if not np.all(np.isfinite(params[name])):
-            raise ValueError(f"{path}: non-finite parameter in {name}")
-        pos += 4 * count
-    if pos != len(data):
+    shapes = _param_shapes(input_dim, hidden_dim, output_dim)
+    count = sum(math.prod(shape) for shape in shapes.values())
+    if pos + 4 * count > len(data):
+        raise ValueError(f"{path}: truncated parameter block")
+    if pos + 4 * count != len(data):
         raise ValueError(f"{path}: trailing bytes")
+    theta = np.frombuffer(data, dtype="<f4", count=count, offset=pos).astype(np.float64)
+    params = _split_params(theta, shapes)
+    for name, value in params.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{path}: non-finite parameter in {name}")
     return MLPProbe(
         input_dim=input_dim, hidden_dim=hidden_dim, output_dim=output_dim,
         task_kind=kind, classes=tuple(classes) or None,

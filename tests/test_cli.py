@@ -214,6 +214,10 @@ def test_unknown_config_section_errors(tmp_path):
     ({"train": {"epoch": 1}}, "train.epoch"),
     ({"metrics": {"nboot": 10}}, "metrics.nboot"),
     ({"partition": {"train_frac": 0.5}}, "partition.train_frac"),
+    ({"distance": {"kind": ["embedding", "encoder_spectral"]}}, "distance.kind"),
+    ({"perturb": {"rate": [1.1]}}, "perturb.rate"),
+    ({"sweep": {"scores_dir": "scores"}}, "sweep.scores_dir"),
+    ({"synth": {"n_speaker": 4}}, "synth.n_speaker"),
 ])
 def test_config_typo_fails_before_any_work(tmp_path, typo, path):
     outdir = tmp_path / "out"
@@ -225,6 +229,35 @@ def test_config_typo_fails_before_any_work(tmp_path, typo, path):
     error = json.loads((outdir / "failures.json").read_text())["failures"][0]["error"]
     assert f"unknown config key '{path}'" in error
     assert sorted(p.name for p in outdir.iterdir()) == ["failures.json"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: c["synth"]["audio"].update(durations=1.0), "unknown config key 'synth.audio.durations'"),
+    (lambda c: c["synth"]["scores"].update(n_bonafides=5), "unknown config key 'synth.scores.n_bonafides'"),
+    (lambda c: c["synth"].update(systems={"cm": {"noise": 0.1}}),
+     "unknown config key 'synth.systems.cm.noise'"),
+    (lambda c: c["synth"].update(systems={"cm": {"planted": [{"trait": "gender", "strenght": 1}]}}),
+     r"unknown config key 'synth.systems.cm.planted\[0\].strenght'"),
+    (lambda c: c["synth"]["planted"][1].update(knd="cluster"),
+     r"unknown config key 'synth.planted\[1\].knd'"),
+    (lambda c: c["tasks"][2].update(schem="T01"), r"unknown config key 'tasks\[2\].schem'"),
+    (lambda c: c["tasks"].append("gender"), r"config key 'tasks\[3\]' must be a mapping"),
+    (lambda c: c.update(distance=["embedding"]), "config key 'distance' must be a mapping"),
+    (lambda c: c.update(embeddings=["emb/cm.emb"]), "config key 'embeddings' must be a mapping"),
+])
+def test_nested_config_typo_names_its_path(tmp_path, edit, message):
+    cfg = pipeline_config(tmp_path / "out")
+    edit(cfg)
+    with pytest.raises(ValueError, match=message):
+        check_config_keys(resolve_config(cfg))
+
+
+def test_absent_optional_sections_pass_the_key_check(tmp_path):
+    cfg = pipeline_config(tmp_path / "out")
+    cfg.update(distance=None, perturb=None, sweep=None, synth=None)
+    check_config_keys(resolve_config(cfg))
+    cfg["synth"] = {"n_speakers": 2, "audio": None, "systems": {"cm": None}}
+    check_config_keys(resolve_config(cfg))
 
 
 def test_sweep_bad_rate_fails_before_reading_scores(tmp_path):
@@ -399,9 +432,67 @@ def test_cli_import_loads_neither_yaml_nor_thread_pool():
     assert out.stdout.strip() == "[]"
 
 
+def test_library_import_leaves_blas_threads_unset():
+    import embprobe
+    src = str(Path(embprobe.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in embprobe.BLAS_THREAD_VARS}
+    code = ("import os, embprobe, embprobe.cli; "
+            "print([v for v in embprobe.BLAS_THREAD_VARS if v in os.environ])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(env, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
+
+
+def test_pin_blas_threads_keeps_user_values(monkeypatch):
+    from embprobe import BLAS_THREAD_VARS, pin_blas_threads
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    pin_blas_threads()
+    assert {var: os.environ[var] for var in BLAS_THREAD_VARS} == {
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "1"}
+
+
+ENTRY_POINTS = {
+    # what the `embprobe` console script runs
+    "console": ("import os, sys, embprobe; assert 'numpy' not in sys.modules; "
+                "status = embprobe.console_main(); "
+                "print(status, os.environ['OPENBLAS_NUM_THREADS'])"),
+    # `python -m embprobe.cli`
+    "module": ("import os, runpy, sys\n"
+               "try:\n"
+               "    runpy.run_module('embprobe.cli', run_name='__main__')\n"
+               "except SystemExit as exc:\n"
+               "    print(exc.code, os.environ['OPENBLAS_NUM_THREADS'])"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_command_line_entries_pin_blas_and_run(tmp_path, entry):
+    """Both command-line entries default BLAS to one thread before numpy is
+    imported, keep a count the user set, and run the command."""
+    import embprobe
+    src = str(Path(embprobe.__file__).resolve().parents[1])
+    cfg = pipeline_config(tmp_path / "out")
+    cfg["synth"].update(n_speakers=2, utts_per_speaker=4)
+    cfg["synth"].pop("audio")
+    cfg_path = write_config(tmp_path, cfg)
+    base = {k: v for k, v in os.environ.items() if k not in embprobe.BLAS_THREAD_VARS}
+    for user, expected in ((None, "1"), ("2", "2")):
+        env = dict(base, PYTHONPATH=src)
+        if user is not None:
+            env["OPENBLAS_NUM_THREADS"] = user
+        out = subprocess.run([sys.executable, "-c", ENTRY_POINTS[entry], "synth",
+                              "--config", cfg_path],
+                             capture_output=True, text=True, check=True, env=env, timeout=120)
+        assert out.stdout.split() == ["0", expected]
+    assert (tmp_path / "out" / "emb" / "cm.emb").exists()
+
+
 def test_probe_outputs_independent_of_jobs_and_blas_threads(tmp_path):
     """probe_report.json and every .prb file are byte-identical with one or two
-    task workers, and with BLAS single-threaded or left at its default."""
+    task workers, and with BLAS at one thread, at two, or unset (which the
+    command-line entry pins to one)."""
     import embprobe
     outdir = tmp_path / "out"
     cfg = pipeline_config(outdir)
@@ -419,7 +510,7 @@ def test_probe_outputs_independent_of_jobs_and_blas_threads(tmp_path):
     src = str(Path(embprobe.__file__).resolve().parents[1])
     outputs = set()
     for jobs in ("1", "2"):
-        for blas in ("1", None):
+        for blas in ("1", "2", None):
             env = dict(os.environ, PYTHONPATH=src)
             env.pop("OPENBLAS_NUM_THREADS", None)
             if blas is not None:

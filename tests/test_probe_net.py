@@ -1,6 +1,7 @@
 import math
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -285,16 +286,38 @@ def test_train_deterministic():
     assert np.array_equal(runs[0][1], runs[1][1])
 
 
-def _two_pass_train(probe, dataset, cfg):
+def _per_parameter_adam_step(probe, state, grads):
+    """adam_step as it was before the flat parameter vector: one parameter at
+    a time, with the moments in name -> array dicts."""
+    state.t += 1
+    b1c = 1.0 - state.beta1 ** state.t
+    b2c = 1.0 - state.beta2 ** state.t
+    for name, p in probe.params().items():
+        g = grads[name]
+        m = state.m.setdefault(name, np.zeros_like(p))
+        v = state.v.setdefault(name, np.zeros_like(p))
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * np.square(g)
+        p -= state.lr * (m / b1c) / (np.sqrt(v / b2c) + state.epsilon)
+
+
+def _two_pass_train(probe, dataset, cfg, per_parameter_adam=False):
     """The earlier training loop: forward for the loss, then backward, which
-    recomputed the same layers."""
+    recomputed the same layers; optionally with the per-parameter Adam."""
     n = len(dataset)
     y = dataset.y
     if probe.task_kind == "regression":
         mean, std = float(np.mean(y)), float(np.std(y)) or 1.0
         probe.target_mean, probe.target_std = mean, std
         y = (y - mean) / std
-    state = AdamState.for_probe(probe, lr=cfg.initial_lr)
+    if per_parameter_adam:
+        state = SimpleNamespace(lr=cfg.initial_lr, beta1=0.9, beta2=0.999, epsilon=1e-8,
+                                t=0, m={}, v={})
+        step = _per_parameter_adam_step
+    else:
+        state, step = AdamState.for_probe(probe, lr=cfg.initial_lr), adam_step
     losses = []
     for epoch in range(cfg.epochs):
         state.lr = cfg.initial_lr * cfg.decay_factor ** (epoch // cfg.decay_every)
@@ -307,7 +330,7 @@ def _two_pass_train(probe, dataset, cfg):
                 loss = cross_entropy(out, y[idx])
             else:
                 loss = mse(out.reshape(-1), y[idx])
-            adam_step(probe, state, backward(probe, dataset.X[idx], y[idx]))
+            step(probe, state, backward(probe, dataset.X[idx], y[idx]))
             total += loss * len(idx)
         losses.append(total / n)
     return losses
@@ -331,6 +354,40 @@ def test_train_single_pass_matches_two_pass_loop(kind, monkeypatch):
     assert hist.losses == expected  # bit for bit
     for name, value in reference.params().items():
         assert np.array_equal(getattr(probe, name), value), name
+
+
+@pytest.mark.parametrize("kind", ["classification", "regression"])
+def test_train_matches_per_parameter_adam(kind):
+    """The flat in-place Adam step gives the losses and parameters of the
+    per-parameter update bit for bit."""
+    rng = make_rng(6, "flat-adam", kind)
+    X = rng.normal(size=(90, 20))
+    y = rng.integers(0, 4, size=90) if kind == "classification" else rng.normal(size=90)
+    out_dim = 4 if kind == "classification" else 1
+    cfg = TrainConfig(epochs=6, batch_size=16, initial_lr=0.01, decay_every=3, seed=2)
+    reference = init_probe(20, 33, out_dim, kind, seed=7)
+    expected = _two_pass_train(reference, make_dataset(X, y, kind), cfg,
+                               per_parameter_adam=True)
+    probe, hist = train(init_probe(20, 33, out_dim, kind, seed=7), make_dataset(X, y, kind), cfg)
+    assert hist.losses == expected
+    assert np.array_equal(probe.theta, reference.theta)
+    for name, value in reference.params().items():
+        assert np.array_equal(getattr(probe, name), value), name
+
+
+def test_adam_step_takes_a_plain_mapping_or_gradients(rng):
+    probe = init_probe(5, 6, 3, "classification", seed=1)
+    twin = init_probe(5, 6, 3, "classification", seed=1)
+    X, y = rng.normal(size=(8, 5)), rng.integers(0, 3, size=8)
+    grads = backward(probe, X, y)
+    plain = {name: value.copy() for name, value in grads.items()}
+    s1, s2 = AdamState.for_probe(probe, lr=0.01), AdamState.for_probe(twin, lr=0.01)
+    for _ in range(3):
+        adam_step(probe, s1, grads)
+        adam_step(twin, s2, plain)
+    assert np.array_equal(probe.theta, twin.theta)
+    with pytest.raises(ValueError, match="Adam state"):
+        adam_step(init_probe(5, 7, 3, "classification", seed=1), s1, plain)
 
 
 def test_train_separable_converges():
@@ -405,6 +462,59 @@ def test_predict_on_table(rng):
     table = EmbeddingTable(dim=4, entries={"a": rng.normal(size=4), "b": rng.normal(size=4)})
     out = predict(p, table)
     assert set(out) == {"a", "b"}
+
+
+# --- flat parameter vector ---
+
+def _assert_views_tile_theta(probe):
+    assert probe.theta.dtype == np.float64 and probe.theta.ndim == 1
+    start = 0
+    for name, param in probe.params().items():
+        assert np.shares_memory(param, probe.theta), name
+        assert param.flags.c_contiguous
+        stop = start + param.size
+        assert np.array_equal(probe.theta[start:stop], param.reshape(-1)), name
+        start = stop
+    assert start == probe.theta.size
+
+
+def test_params_are_views_of_theta_after_init_and_load(tmp_path):
+    probe = init_probe(7, 5, 3, "classification", seed=4)
+    _assert_views_tile_theta(probe)
+    path = tmp_path / "p.prb"
+    save_probe(probe, path)
+    loaded = load_probe(path)
+    _assert_views_tile_theta(loaded)
+    assert np.array_equal(loaded.theta, probe.theta.astype(np.float32))
+    loaded.theta[:] = 0.5
+    assert np.all(loaded.W2 == 0.5) and np.all(loaded.b3 == 0.5)
+
+
+def test_copies_and_pickles_keep_the_views():
+    import copy
+    import pickle
+    probe = init_probe(4, 3, 2, "classification", seed=1)
+    for twin in (copy.deepcopy(probe), pickle.loads(pickle.dumps(probe))):
+        _assert_views_tile_theta(twin)
+        assert not np.shares_memory(twin.theta, probe.theta)
+        twin.theta += 1.0
+        assert np.array_equal(twin.W1, probe.W1 + 1.0)
+
+
+def test_direct_construction_and_assignment_keep_the_flat_store():
+    p = init_probe(3, 4, 2, "classification", seed=0)
+    probe = MLPProbe(3, 4, 2, "classification", W1=p.W1, b1=p.b1, W2=p.W2,
+                     b2=p.b2, W3=p.W3, b3=p.b3)
+    _assert_views_tile_theta(probe)
+    assert not np.shares_memory(probe.theta, p.theta)
+    probe.W3 = np.ones((2, 4))
+    _assert_views_tile_theta(probe)
+    assert np.all(probe.theta[-10:-2] == 1.0)
+    with pytest.raises(ValueError, match=r"W3 has shape \(4, 2\), expected \(2, 4\)"):
+        probe.W3 = np.ones((4, 2))
+    with pytest.raises(ValueError, match="b1 has shape"):
+        MLPProbe(3, 4, 2, "classification", W1=p.W1, b1=np.zeros(5), W2=p.W2,
+                 b2=p.b2, W3=p.W3, b3=p.b3)
 
 
 # --- serialization ---
