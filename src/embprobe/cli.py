@@ -31,8 +31,8 @@ from .distance_analysis import (bonafide_spoof_pairing, read_frames,
                                 summarize_by_gender, write_distance_records)
 from .fileio import atomic_write_text
 from .metrics import classification_result, regression_result
-from .perturbation import (PerturbSweepConfig, check_rate, run_sweep,
-                           speed_perturb, write_score_file)
+from .perturbation import (DEFAULT_RATES, PerturbSweepConfig, check_rate,
+                           run_sweep, speed_perturb, write_score_file)
 from .probe_net import (DEFAULT_HIDDEN_DIM, TrainConfig, init_probe, predict,
                         save_probe, train)
 from .rng import derive_seed
@@ -167,6 +167,15 @@ def check_config_keys(resolved: dict) -> None:
         raise ValueError("config key 'tasks' must be a list")
     for i, task in enumerate(resolved["tasks"]):
         check(task, TASK_KEYS, f"tasks[{i}]")
+    for path, section in (("perturb", resolved["perturb"]), ("sweep", resolved["sweep"]),
+                          ("synth.scores", synth.get("scores"))):
+        rates = (section or {}).get("rates", DEFAULT_RATES)
+        if (not isinstance(rates, list | tuple) or not rates
+                or not all(isinstance(r, int | float) and not isinstance(r, bool)
+                           for r in rates)
+                or len(set(rates)) != len(rates)):
+            raise ValueError(f"config key '{path}.rates' must be a non-empty list "
+                             "of distinct numbers")
 
 
 def _deep_merge(base, override):
@@ -304,7 +313,7 @@ def cmd_synth(resolved: dict) -> list[dict]:
         score_dir = scores_cfg.get("dir", "scores")
         base_sep = float(scores_cfg.get("base_separation", 3.0))
         decay = float(scores_cfg.get("decay", 4.0))
-        for rate in scores_cfg.get("rates", list(PerturbSweepConfig().rates)):
+        for rate in scores_cfg.get("rates", DEFAULT_RATES):
             rate = float(rate)
             separation = max(0.2, base_sep - decay * abs(rate - 1.0))
             rows = synth.gen_scores(int(scores_cfg.get("n_bonafide", 60)),
@@ -564,12 +573,12 @@ def cmd_perturb(resolved: dict) -> list[dict]:
     pcfg = resolved.get("perturb")
     if not pcfg:
         raise ValueError("config has no perturb section")
+    rates = [float(r) for r in pcfg.get("rates", DEFAULT_RATES)]
+    for rate in rates:
+        check_rate(rate)
     manifest_path = _resolve_path(resolved, resolved["manifest"])
     manifest = load_manifest(manifest_path)
     out_rel = pcfg.get("audio_outdir", "perturbed")
-    rates = [float(r) for r in pcfg.get("rates", list(PerturbSweepConfig().rates))]
-    for rate in rates:
-        check_rate(rate)
     wrote = 0
     for row in manifest.rows:
         if not row.audio_path:
@@ -588,7 +597,7 @@ def cmd_sweep(resolved: dict) -> list[dict]:
     scfg = resolved.get("sweep")
     if not scfg:
         raise ValueError("config has no sweep section")
-    rates = tuple(float(r) for r in scfg.get("rates", PerturbSweepConfig().rates))
+    rates = tuple(float(r) for r in scfg.get("rates", DEFAULT_RATES))
     for rate in rates:
         check_rate(rate)
     files = {}

@@ -391,25 +391,39 @@ def write_trait_csv(values: dict[str, TraitValues], path) -> None:
     atomic_write_text(path, buf.getvalue())
 
 
+def _trait_cell(cell: str, where: str, column: str) -> float | None:
+    if not cell:
+        return None
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ValueError(f"{where}: column {column}: bad number {cell!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: column {column}: non-finite value {cell!r}")
+    if value < 0 and column != "snr":  # only an SNR in dB can be negative
+        raise ValueError(f"{where}: column {column}: negative value {cell!r}")
+    return value
+
+
 def read_trait_csv(path) -> dict[str, TraitValues]:
     path = Path(path)
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     out: dict[str, TraitValues] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(TRAIT_CSV_COLUMNS):
-            raise ValueError(f"{path}: line 1: bad header {header!r}")
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != len(TRAIT_CSV_COLUMNS):
-                raise ValueError(f"{path}: line {lineno}: expected {len(TRAIT_CSV_COLUMNS)} fields")
-            out[rec[0]] = TraitValues(
-                duration=float(rec[3]) if rec[3] else None,
-                f0_mean=float(rec[1]) if rec[1] else None,
-                speaking_rate=float(rec[2]) if rec[2] else None,
-                snr=float(rec[4]) if rec[4] else None,
-            )
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header != list(TRAIT_CSV_COLUMNS):
+        raise ValueError(f"{path}: line 1: bad header {header!r}")
+    for lineno, rec in enumerate(reader, start=2):
+        if not rec:
+            continue
+        where = f"{path}: line {lineno}"
+        if len(rec) != len(TRAIT_CSV_COLUMNS):
+            raise ValueError(f"{where}: expected {len(TRAIT_CSV_COLUMNS)} fields")
+        out[rec[0]] = TraitValues(**{column: _trait_cell(cell, where, column)
+                                     for column, cell in zip(TRAIT_CSV_COLUMNS[1:], rec[1:])})
     if not out:
         raise ValueError(f"{path}: empty trait file")
     return out

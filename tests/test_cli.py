@@ -231,6 +231,26 @@ def test_config_typo_fails_before_any_work(tmp_path, typo, path):
     assert sorted(p.name for p in outdir.iterdir()) == ["failures.json"]
 
 
+@pytest.mark.parametrize("command, section", [("perturb", "perturb"), ("sweep", "sweep"),
+                                              ("synth", "synth.scores")])
+@pytest.mark.parametrize("rates", [1.0, [], "0.9 1.0", [1.0, 1], [True], None],
+                         ids=["scalar", "empty", "string", "duplicate", "bool", "null"])
+def test_bad_rate_list_fails_before_any_work(tmp_path, command, section, rates):
+    outdir = tmp_path / "out"
+    cfg = pipeline_config(outdir)
+    target = cfg
+    for key in section.split("."):
+        target = target[key]
+    target["rates"] = rates
+    message = f"config key '{section}.rates' must be a non-empty list of distinct numbers"
+    with pytest.raises(ValueError, match=message):
+        check_config_keys(resolve_config(cfg))
+    assert run(command, write_config(tmp_path, cfg)) == 1
+    error = json.loads((outdir / "failures.json").read_text())["failures"][0]["error"]
+    assert error == message
+    assert sorted(p.name for p in outdir.iterdir()) == ["failures.json"]
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda c: c["synth"]["audio"].update(durations=1.0), "unknown config key 'synth.audio.durations'"),
     (lambda c: c["synth"]["scores"].update(n_bonafides=5), "unknown config key 'synth.scores.n_bonafides'"),
@@ -358,6 +378,13 @@ def test_perturb_bad_rate_fails_before_any_audio(tmp_path):
     failures = json.loads((outdir / "failures.json").read_text())
     assert "rate 2.5" in failures["failures"][0]["error"]
     assert not (outdir / "perturbed").exists()
+
+
+def test_perturb_checks_rates_before_reading_the_manifest(tmp_path):
+    cfg = pipeline_config(tmp_path / "out")  # no synth: the manifest does not exist
+    cfg["perturb"]["rates"] = [2.5]
+    with pytest.raises(ValueError, match=r"rate 2\.5 outside"):
+        cmd_perturb(resolve_config(cfg))
 
 
 def test_successful_rerun_removes_failures_file(tmp_path):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from embprobe import perturbation
 from embprobe.perturbation import (HALF_TAPS, KAISER_BETA, MAX_RATE_DENOMINATOR,
                                    PerturbSweepConfig, ScoreRow, read_score_file,
                                    run_sweep, speed_perturb, write_score_file)
@@ -145,6 +146,66 @@ def test_exact_positions_move_float_drift_samples():
     assert 0 < np.count_nonzero(out != drifted) < 100
 
 
+def test_window_peak_constant():
+    assert math.isclose(perturbation.I0_BETA, np.i0(KAISER_BETA), rel_tol=1e-15)
+
+
+# rates p/q whose denominator lies just above and just below the 31999
+# outputs of a 2 s input: at most one, and two, outputs per phase
+NEAR_OUTPUT_RATES = (32004 / 32003, 31998 / 31997)
+
+
+def test_two_second_rates_cover_both_loop_orders(monkeypatch):
+    # few phases: one einsum per phase over a strided view; many phases: one
+    # per row of q outputs over a gather
+    used = set()
+
+    def einsum(subscripts, *operands):
+        used.add(subscripts)
+        return real(subscripts, *operands)
+
+    real = np.einsum
+    monkeypatch.setattr(np, "einsum", einsum)
+    x = Waveform(np.ones(32000), 16000)
+    for rates, subscripts in (((0.8, 1.2), "ij,j->i"),
+                              ((1.037, 0.8137) + NEAR_OUTPUT_RATES, "ij,ij->i")):
+        for rate in rates:
+            used.clear()
+            speed_perturb(x, rate)
+            assert used == {subscripts}
+    for rate, q in zip(NEAR_OUTPUT_RATES, (32003, 31997)):
+        assert Fraction(rate).limit_denominator(MAX_RATE_DENOMINATOR).denominator == q
+        assert round(32000 / rate) == 31999
+
+
+@pytest.mark.parametrize("rate", REFERENCE_RATES + NEAR_OUTPUT_RATES)
+def test_two_second_noise_matches_reference(rate):
+    rng = np.random.Generator(np.random.PCG64(23))
+    x = rng.uniform(-0.5, 0.5, 32000)
+    out = speed_perturb(Waveform(x, 16000), rate).samples
+    ref = _reference_perturb(x, rate)
+    assert out.shape == ref.shape
+    assert np.max(np.abs(out - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_in,rate", [(32000, 0.8), (32000, 0.8137), (32000, 31998 / 31997),
+                                       (4800, 1.2), (40, 1.1), (1, 2.0)])
+def test_tap_table_per_call_bounded_by_output(monkeypatch, n_in, rate):
+    # each window evaluation covers at most the output length, or one row of
+    # taps when the output is shorter than a row
+    sizes = []
+
+    def kaiser_sinc(u, *args):
+        sizes.append(u.size)
+        return real(u, *args)
+
+    real = perturbation._kaiser_sinc
+    monkeypatch.setattr(perturbation, "_kaiser_sinc", kaiser_sinc)
+    n_out = len(speed_perturb(Waveform(np.ones(n_in), 16000), rate).samples)
+    n_taps = 2 * math.ceil(HALF_TAPS * max(1.0, rate)) + 2
+    assert sizes and max(sizes) <= max(n_out, n_taps)
+
+
 # --- score files ---
 
 def test_score_file_roundtrip(tmp_path):
@@ -184,6 +245,14 @@ def test_score_file_empty(tmp_path):
     path.write_text("\n")
     with pytest.raises(ValueError, match="empty"):
         read_score_file(path)
+
+
+def test_score_file_invalid_utf8_names_path(tmp_path):
+    path = tmp_path / "s.txt"
+    path.write_bytes(b"U1 0.5 bonafide\nU\xe92 0.2 spoof\n")
+    with pytest.raises(ValueError, match="not UTF-8") as info:
+        read_score_file(path)
+    assert str(path) in str(info.value)
 
 
 # --- sweep ---

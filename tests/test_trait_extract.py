@@ -403,6 +403,34 @@ def test_trait_csv_roundtrip(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("row, message", [
+    ("U1,nan,2.0,1.5,30.0", "line 2: column f0_mean: non-finite value 'nan'"),
+    ("U1,210.0,inf,1.5,30.0", "line 2: column speaking_rate: non-finite value 'inf'"),
+    ("U1,210.0,2.0,-1.5,30.0", "line 2: column duration: negative value '-1.5'"),
+    ("U1,210.0,2.0,1.5,abc", "line 2: column snr: bad number 'abc'"),
+])
+def test_trait_csv_bad_number_names_path_line_and_column(tmp_path, row, message):
+    path = tmp_path / "traits.csv"
+    path.write_text("utt_id,f0_mean,speaking_rate,duration,snr\n" + row + "\n")
+    with pytest.raises(ValueError) as info:
+        read_trait_csv(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_trait_csv_negative_snr_loads(tmp_path):
+    path = tmp_path / "traits.csv"
+    path.write_text("utt_id,f0_mean,speaking_rate,duration,snr\nU1,,,1.5,-3.0\n")
+    assert read_trait_csv(path) == {"U1": TraitValues(duration=1.5, snr=-3.0)}
+
+
+def test_trait_csv_invalid_utf8_names_path(tmp_path):
+    path = tmp_path / "traits.csv"
+    path.write_bytes(b"utt_id,f0_mean,speaking_rate,duration,snr\nU\xff1,,,1.5,\n")
+    with pytest.raises(ValueError, match="not UTF-8") as info:
+        read_trait_csv(path)
+    assert str(path) in str(info.value)
+
+
 def test_extract_traits_records_failures():
     w = Waveform(make_rng(5, "fail").normal(0.0, 0.1, 16000), 16000)
     values, failures = extract_traits(w, None)
