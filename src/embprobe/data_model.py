@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import atomic_write_bytes, atomic_write_text
+from .fileio import atomic_write_bytes, atomic_write_text, read_utf8_text
 from .rng import make_rng
 
 GENDERS = ("female", "male")
@@ -86,53 +86,52 @@ def _parse_bool(text: str, where: str) -> bool:
 
 def _read_manifest_csv(path: Path) -> list[ManifestRow]:
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(MANIFEST_COLUMNS):
-            raise ValueError(f"{path}: line 1: bad header {header!r}")
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            where = f"{path}: line {lineno}"
-            if len(rec) != len(MANIFEST_COLUMNS):
-                raise ValueError(f"{where}: expected {len(MANIFEST_COLUMNS)} fields, got {len(rec)}")
-            try:
-                age = int(rec[3])
-            except ValueError:
-                raise ValueError(f"{where}: bad age {rec[3]!r}") from None
-            rows.append(ManifestRow(
-                utt_id=rec[0], speaker_id=rec[1], gender=rec[2], age=age, accent=rec[4],
-                is_bonafide=_parse_bool(rec[5], where),
-                attack_id=rec[6] or None, attack_type=rec[7] or None,
-                transcript=rec[8] or None, audio_path=rec[9] or None,
-            ))
+    reader = csv.reader(io.StringIO(read_utf8_text(path), newline=""))
+    header = next(reader, None)
+    if header != list(MANIFEST_COLUMNS):
+        raise ValueError(f"{path}: line 1: bad header {header!r}")
+    for lineno, rec in enumerate(reader, start=2):
+        if not rec:
+            continue
+        where = f"{path}: line {lineno}"
+        if len(rec) != len(MANIFEST_COLUMNS):
+            raise ValueError(f"{where}: expected {len(MANIFEST_COLUMNS)} fields, got {len(rec)}")
+        try:
+            age = int(rec[3])
+        except ValueError:
+            raise ValueError(f"{where}: bad age {rec[3]!r}") from None
+        rows.append(ManifestRow(
+            utt_id=rec[0], speaker_id=rec[1], gender=rec[2], age=age, accent=rec[4],
+            is_bonafide=_parse_bool(rec[5], where),
+            attack_id=rec[6] or None, attack_type=rec[7] or None,
+            transcript=rec[8] or None, audio_path=rec[9] or None,
+        ))
     return rows
 
 
 def _read_manifest_jsonl(path: Path) -> list[ManifestRow]:
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}: line {lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}: bad JSON ({exc.msg})") from None
-            if not isinstance(obj, dict):
-                raise ValueError(f"{where}: expected an object")
-            try:
-                rows.append(ManifestRow(
-                    utt_id=str(obj["utt_id"]), speaker_id=str(obj["speaker_id"]),
-                    gender=str(obj["gender"]), age=int(obj["age"]), accent=str(obj["accent"]),
-                    is_bonafide=bool(obj["is_bonafide"]),
-                    attack_id=obj.get("attack_id"), attack_type=obj.get("attack_type"),
-                    transcript=obj.get("transcript"), audio_path=obj.get("audio_path"),
-                ))
-            except KeyError as exc:
-                raise ValueError(f"{where}: missing field {exc.args[0]!r}") from None
+    # newline=None splits lines the way a file opened in text mode does
+    for lineno, line in enumerate(io.StringIO(read_utf8_text(path), newline=None), start=1):
+        if not line.strip():
+            continue
+        where = f"{path}: line {lineno}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{where}: bad JSON ({exc.msg})") from None
+        if not isinstance(obj, dict):
+            raise ValueError(f"{where}: expected an object")
+        try:
+            rows.append(ManifestRow(
+                utt_id=str(obj["utt_id"]), speaker_id=str(obj["speaker_id"]),
+                gender=str(obj["gender"]), age=int(obj["age"]), accent=str(obj["accent"]),
+                is_bonafide=bool(obj["is_bonafide"]),
+                attack_id=obj.get("attack_id"), attack_type=obj.get("attack_type"),
+                transcript=obj.get("transcript"), audio_path=obj.get("audio_path"),
+            ))
+        except KeyError as exc:
+            raise ValueError(f"{where}: missing field {exc.args[0]!r}") from None
     return rows
 
 
@@ -226,7 +225,10 @@ def _read_emb_binary(path: Path) -> EmbeddingTable:
         pos += 2
         if pos + nlen + 4 * dim > len(data):
             raise ValueError(f"{path}: truncated file")
-        utt = data[pos:pos + nlen].decode("utf-8")
+        try:
+            utt = data[pos:pos + nlen].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: utt_id at byte {pos} is not UTF-8 ({exc.reason})") from None
         pos += nlen
         vec = np.frombuffer(data, dtype="<f4", count=dim, offset=pos).astype(np.float64)
         pos += 4 * dim
@@ -241,26 +243,25 @@ def _read_emb_binary(path: Path) -> EmbeddingTable:
 def _read_emb_csv(path: Path) -> EmbeddingTable:
     entries: dict[str, np.ndarray] = {}
     dim = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for lineno, rec in enumerate(reader, start=1):
-            if not rec:
-                continue
-            if lineno == 1 and rec[0] == "utt_id":
-                dim = len(rec) - 1
-                continue
-            where = f"{path}: line {lineno}"
-            if dim is None:
-                dim = len(rec) - 1
-            if len(rec) - 1 != dim:
-                raise ValueError(f"{where}: dim mismatch across rows")
-            try:
-                vec = np.array([float(v) for v in rec[1:]], dtype=np.float64)
-            except ValueError:
-                raise ValueError(f"{where}: bad float value") from None
-            if rec[0] in entries:
-                raise ValueError(f"{where}: duplicate utt_id {rec[0]!r}")
-            entries[rec[0]] = vec
+    reader = csv.reader(io.StringIO(read_utf8_text(path), newline=""))
+    for lineno, rec in enumerate(reader, start=1):
+        if not rec:
+            continue
+        if lineno == 1 and rec[0] == "utt_id":
+            dim = len(rec) - 1
+            continue
+        where = f"{path}: line {lineno}"
+        if dim is None:
+            dim = len(rec) - 1
+        if len(rec) - 1 != dim:
+            raise ValueError(f"{where}: dim mismatch across rows")
+        try:
+            vec = np.array([float(v) for v in rec[1:]], dtype=np.float64)
+        except ValueError:
+            raise ValueError(f"{where}: bad float value") from None
+        if rec[0] in entries:
+            raise ValueError(f"{where}: duplicate utt_id {rec[0]!r}")
+        entries[rec[0]] = vec
     if not entries:
         raise ValueError(f"{path}: empty table")
     return EmbeddingTable(dim=int(dim), entries=entries)

@@ -1,4 +1,5 @@
-"""Atomic file writes shared by every writer in the toolkit."""
+"""Atomic file writes shared by every writer in the toolkit, and the UTF-8
+text read shared by its text readers."""
 from __future__ import annotations
 
 import os
@@ -25,3 +26,11 @@ def atomic_write_bytes(path, data: bytes) -> None:
 
 def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def read_utf8_text(path) -> str:
+    """The whole file as text; invalid UTF-8 raises ValueError naming `path`."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None

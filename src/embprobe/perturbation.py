@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_utf8_text
 from .metrics import EERResult, eer
 from .trait_extract import Waveform
 
@@ -125,11 +125,7 @@ def read_score_file(path) -> list[ScoreRow]:
     path = Path(path)
     rows: list[ScoreRow] = []
     seen: set[str] = set()
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_utf8_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split()

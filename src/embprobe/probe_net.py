@@ -4,6 +4,8 @@ Two rectified hidden transforms and a linear output head. Classification
 heads are trained with cross-entropy over one-hot targets, regression heads
 with mean squared error against a single scalar. Everything is plain numpy;
 gradients are exact and checked against finite differences in the tests.
+Probes are float32 by default, the precision PRB1 stores, and every step
+(forward, backward, Adam, predict) computes in the dtype of the probe.
 """
 from __future__ import annotations
 
@@ -43,10 +45,11 @@ def _split_params(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[
 
 @dataclass
 class MLPProbe:
-    """A probe whose six parameters live in one float64 vector, `theta`, in
-    PARAM_NAMES order; `W1`...`b3` are views into it. Assigning a parameter
-    copies into its view, and copies and pickles rebuild the views, so
-    `theta` always holds the current values."""
+    """A probe whose six parameters live in one vector, `theta`, in
+    PARAM_NAMES order; `W1`...`b3` are views into it. `theta` takes the
+    floating dtype of the parameters given (float64 for integer ones).
+    Assigning a parameter copies into its view, and copies and pickles
+    rebuild the views, so `theta` always holds the current values."""
     input_dim: int
     hidden_dim: int
     output_dim: int
@@ -65,18 +68,21 @@ class MLPProbe:
 
     def __post_init__(self):
         shapes = _param_shapes(self.input_dim, self.hidden_dim, self.output_dim)
-        given = {name: np.asarray(getattr(self, name), dtype=np.float64)
-                 for name in PARAM_NAMES}
+        given = {name: np.asarray(getattr(self, name)) for name in PARAM_NAMES}
         for name, shape in shapes.items():
             if given[name].shape != shape:
                 raise ValueError(f"{name} has shape {given[name].shape}, expected {shape}")
-        theta = np.concatenate([given[name].reshape(-1) for name in PARAM_NAMES])
+        dtype = np.result_type(*given.values())
+        if not np.issubdtype(dtype, np.floating):
+            dtype = np.float64
+        theta = np.concatenate([given[name].reshape(-1) for name in PARAM_NAMES],
+                               dtype=dtype)
         vars(self).update(_split_params(theta, shapes), theta=theta)
 
     def __setattr__(self, name, value):
         if name in PARAM_NAMES and "theta" in vars(self):
             view = getattr(self, name)
-            value = np.asarray(value, dtype=np.float64)
+            value = np.asarray(value)
             if value.shape != view.shape:
                 raise ValueError(f"{name} has shape {value.shape}, expected {view.shape}")
             view[...] = value
@@ -102,8 +108,9 @@ class MLPProbe:
 
 
 def init_probe(input_dim: int, hidden_dim: int, output_dim: int,
-               task_kind: str, seed: int = 0) -> MLPProbe:
-    """Fresh probe with uniform fan-based weights and zero biases."""
+               task_kind: str, seed: int = 0, dtype=np.float32) -> MLPProbe:
+    """Fresh probe with uniform fan-based weights and zero biases, its
+    parameters of `dtype` (the float64 draws rounded to it)."""
     for name, value in (("input_dim", input_dim), ("hidden_dim", hidden_dim),
                         ("output_dim", output_dim)):
         if value < 1:
@@ -116,14 +123,14 @@ def init_probe(input_dim: int, hidden_dim: int, output_dim: int,
 
     def uniform(fan_out: int, fan_in: int) -> np.ndarray:
         limit = math.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_out, fan_in))
+        return rng.uniform(-limit, limit, size=(fan_out, fan_in)).astype(dtype)
 
     return MLPProbe(
         input_dim=input_dim, hidden_dim=hidden_dim, output_dim=output_dim,
         task_kind=task_kind,
-        W1=uniform(hidden_dim, input_dim), b1=np.zeros(hidden_dim),
-        W2=uniform(hidden_dim, hidden_dim), b2=np.zeros(hidden_dim),
-        W3=uniform(output_dim, hidden_dim), b3=np.zeros(output_dim),
+        W1=uniform(hidden_dim, input_dim), b1=np.zeros(hidden_dim, dtype),
+        W2=uniform(hidden_dim, hidden_dim), b2=np.zeros(hidden_dim, dtype),
+        W3=uniform(output_dim, hidden_dim), b3=np.zeros(output_dim, dtype),
     )
 
 
@@ -137,7 +144,7 @@ def _affine_stack(probe: MLPProbe, X: np.ndarray):
 
 
 def _as_batch(probe: MLPProbe, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X, dtype=probe.theta.dtype)
     if X.ndim == 1:
         X = X[None, :]
     if X.ndim != 2 or X.shape[1] != probe.input_dim:
@@ -156,9 +163,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _floating(a) -> np.ndarray:
+    """`a` as an array, kept in its floating dtype or made float64."""
+    a = np.asarray(a)
+    return a if np.issubdtype(a.dtype, np.floating) else a.astype(np.float64)
+
+
 def cross_entropy(logits, targets) -> float:
-    """Mean -log softmax(logits)[target], max-shifted for stability."""
-    logits = np.asarray(logits, dtype=np.float64)
+    """Mean -log softmax(logits)[target], max-shifted for stability, computed
+    in the floating dtype of `logits`."""
+    logits = _floating(logits)
     if logits.ndim == 1:
         logits = logits[None, :]
     t = np.asarray(targets, dtype=np.int64).reshape(-1)
@@ -173,9 +187,10 @@ def cross_entropy(logits, targets) -> float:
 
 
 def mse(pred, target) -> float:
-    """Mean squared error between two equal-length score vectors."""
-    p = np.asarray(pred, dtype=np.float64).reshape(-1)
-    t = np.asarray(target, dtype=np.float64).reshape(-1)
+    """Mean squared error between two equal-length score vectors, computed
+    in the floating dtype of `pred` (`target` is rounded to it)."""
+    p = _floating(pred).reshape(-1)
+    t = np.asarray(target, dtype=p.dtype).reshape(-1)
     if p.shape != t.shape:
         raise ValueError("pred and target must have equal length")
     return float(np.mean((p - t) ** 2))
@@ -206,7 +221,7 @@ def backward(probe: MLPProbe, X, targets) -> Gradients:
         dout /= n
     else:
         loss = mse(out.reshape(-1), targets)
-        t = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
+        t = np.asarray(targets, dtype=out.dtype).reshape(-1, 1)
         dout = 2.0 * (out - t) / n
     flat = np.empty_like(probe.theta)
     g = probe.views(flat)
@@ -225,8 +240,9 @@ def backward(probe: MLPProbe, X, targets) -> Gradients:
 
 @dataclass
 class AdamState:
-    """Adam moments as flat vectors laid out like the probe's `theta`, plus
-    two scratch vectors of that size, so a step allocates nothing."""
+    """Adam moments as flat vectors laid out like the probe's `theta` and of
+    its dtype, plus two scratch vectors of that size, so a step allocates
+    nothing."""
     lr: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
@@ -255,8 +271,9 @@ def adam_step(probe: MLPProbe, state: AdamState,
     p -= lr*(m/b1c) / (sqrt(v/b2c) + eps), so results are bit-identical to
     the update done one parameter at a time."""
     theta, m, v = probe.theta, state.m, state.v
-    if m.shape != theta.shape:
-        raise ValueError(f"Adam state holds {m.size} values for {theta.size} parameters")
+    if m.shape != theta.shape or m.dtype != theta.dtype:
+        raise ValueError(f"Adam state holds {m.size} {m.dtype} values for "
+                         f"{theta.size} {theta.dtype} parameters")
     a, b = state.scratch
     if isinstance(grads, Gradients):
         g = grads.flat
@@ -317,7 +334,8 @@ def train(probe: MLPProbe, dataset, cfg: TrainConfig) -> tuple[MLPProbe, TrainHi
     Shuffling uses an epoch-dependent stream derived from cfg.seed, so full
     runs are bitwise reproducible. Regression targets are z-scored with the
     training-split statistics, which are stored on the probe so predictions
-    can be mapped back to the original scale.
+    can be mapped back to the original scale. Inputs and z-scored targets are
+    cast to the probe's dtype once, before the first batch.
     """
     if dataset.split != "train":
         raise ValueError("train() expects the training split")
@@ -326,7 +344,7 @@ def train(probe: MLPProbe, dataset, cfg: TrainConfig) -> tuple[MLPProbe, TrainHi
     n = len(dataset)
     if n == 0:
         raise ValueError("empty dataset")
-    X = dataset.X
+    X = np.asarray(dataset.X, dtype=probe.theta.dtype)
     if probe.task_kind == "regression":
         mean = float(np.mean(dataset.y))
         std = float(np.std(dataset.y))
@@ -334,7 +352,7 @@ def train(probe: MLPProbe, dataset, cfg: TrainConfig) -> tuple[MLPProbe, TrainHi
             std = 1.0
         probe.target_mean = mean
         probe.target_std = std
-        y = (dataset.y - mean) / std
+        y = ((dataset.y - mean) / std).astype(probe.theta.dtype)
     else:
         y = dataset.y
     state = AdamState.for_probe(probe, lr=cfg.initial_lr)
@@ -358,7 +376,8 @@ def train(probe: MLPProbe, dataset, cfg: TrainConfig) -> tuple[MLPProbe, TrainHi
 
 
 def predict(probe: MLPProbe, data):
-    """Class indices (argmax, ties to the lowest index) or de-normalized scalars.
+    """Class indices (argmax, ties to the lowest index) or de-normalized
+    scalars in the probe's dtype.
 
     Accepts a batch array, or an EmbeddingTable (returns utt_id -> prediction).
     """
@@ -375,7 +394,8 @@ def predict(probe: MLPProbe, data):
 
 def save_probe(probe: MLPProbe, path) -> None:
     """Serialize to the PRB1 format (dims, task kind, classes, target stats,
-    then all parameters as f32 little-endian in layer order)."""
+    then all parameters as f32 little-endian in layer order). A float32
+    probe is written exactly; a float64 one is rounded."""
     buf = bytearray()
     buf += PRB_MAGIC
     buf += struct.pack("<B", 0 if probe.task_kind == "classification" else 1)
@@ -391,7 +411,8 @@ def save_probe(probe: MLPProbe, path) -> None:
 
 
 def load_probe(path) -> MLPProbe:
-    """Read a PRB1 file; any malformed input raises ValueError naming `path`."""
+    """Read a PRB1 file into a float32 probe holding exactly the stored
+    parameters; any malformed input raises ValueError naming `path`."""
     data = Path(path).read_bytes()
     if len(data) < 17 or data[:4] != PRB_MAGIC:
         raise ValueError(f"{path}: bad magic (not a PRB1 file)")
@@ -435,7 +456,8 @@ def _parse_probe(data: bytes, path) -> MLPProbe:
         raise ValueError(f"{path}: truncated parameter block")
     if pos + 4 * count != len(data):
         raise ValueError(f"{path}: trailing bytes")
-    theta = np.frombuffer(data, dtype="<f4", count=count, offset=pos).astype(np.float64)
+    # read-only views of `data`; MLPProbe packs them into a float32 theta of its own
+    theta = np.frombuffer(data, dtype="<f4", count=count, offset=pos)
     params = _split_params(theta, shapes)
     for name, value in params.items():
         if not np.all(np.isfinite(value)):

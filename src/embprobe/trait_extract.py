@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import atomic_write_bytes, atomic_write_text
+from .fileio import atomic_write_bytes, atomic_write_text, read_utf8_text
 
 POWER_FLOOR = 1e-10
 
@@ -407,12 +407,8 @@ def _trait_cell(cell: str, where: str, column: str) -> float | None:
 
 def read_trait_csv(path) -> dict[str, TraitValues]:
     path = Path(path)
-    try:
-        text = path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     out: dict[str, TraitValues] = {}
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(read_utf8_text(path), newline=""))
     header = next(reader, None)
     if header != list(TRAIT_CSV_COLUMNS):
         raise ValueError(f"{path}: line 1: bad header {header!r}")

@@ -62,7 +62,8 @@ def test_criterion_01_gradient_correctness():
             d_h = int(rng.integers(2, 9))
             d_out = 1 if kind == "regression" else int(rng.integers(2, 7))
             n = int(rng.integers(1, 5))
-            probe = init_probe(d_in, d_h, d_out, kind, seed=int(rng.integers(0, 1 << 30)))
+            probe = init_probe(d_in, d_h, d_out, kind, seed=int(rng.integers(0, 1 << 30)),
+                               dtype=np.float64)
             for param in probe.params().values():
                 param += 0.1 * rng.normal(size=param.shape)  # keep rectifiers off exact kinks
             X = rng.normal(size=(n, d_in))

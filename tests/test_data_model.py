@@ -187,6 +187,33 @@ def test_emb_csv_roundtrip_bytes(tmp_path, rng):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _bad_utf8(tmp_path, mixed_manifest, rng, name):
+    """A file of the reader's format with one byte of a utt_id set to 0xff."""
+    path = tmp_path / name
+    if name.startswith("manifest"):
+        write_manifest(mixed_manifest, path)
+    else:
+        write_embeddings(EmbeddingTable(dim=3, entries={"U1": rng.normal(size=3)}), path)
+    data = path.read_bytes()
+    at = data.rindex(b"U1" if name.startswith("emb") else mixed_manifest.rows[-1].utt_id.encode())
+    path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+    return path
+
+
+@pytest.mark.parametrize("name, message", [
+    ("manifest.csv", "not UTF-8 text"),
+    ("manifest.jsonl", "not UTF-8 text"),
+    ("emb.emb", "utt_id at byte 14 is not UTF-8"),
+    ("emb.csv", "not UTF-8 text"),
+])
+def test_reader_invalid_utf8_names_path(tmp_path, mixed_manifest, rng, name, message):
+    path = _bad_utf8(tmp_path, mixed_manifest, rng, name)
+    load = load_manifest if name.startswith("manifest") else load_embeddings
+    with pytest.raises(ValueError, match=message) as info:
+        load(path)
+    assert str(path) in str(info.value)
+
+
 # --- partitioning ---
 
 def _speaker_manifest(n_speakers, utts_each):

@@ -175,7 +175,8 @@ def test_backward_matches_finite_differences(kind):
         d_h = int(rng.integers(2, 8))
         d_out = 1 if kind == "regression" else int(rng.integers(2, 6))
         n = int(rng.integers(1, 5))
-        probe = init_probe(d_in, d_h, d_out, kind, seed=int(rng.integers(0, 1 << 30)))
+        probe = init_probe(d_in, d_h, d_out, kind, seed=int(rng.integers(0, 1 << 30)),
+                           dtype=np.float64)
         for param in probe.params().values():
             param += 0.1 * rng.normal(size=param.shape)  # keep rectifiers off exact kinks
         X = rng.normal(size=(n, d_in))
@@ -217,7 +218,7 @@ def test_backward_loss_is_the_forward_loss(kind, rng):
 # --- adam ---
 
 def _unit_probe():
-    p = init_probe(1, 1, 1, "regression", seed=0)
+    p = init_probe(1, 1, 1, "regression", seed=0, dtype=np.float64)
     for name in ("W1", "b1", "W2", "b2", "W3", "b3"):
         getattr(p, name)[:] = 0.0
     return p
@@ -467,7 +468,7 @@ def test_predict_on_table(rng):
 # --- flat parameter vector ---
 
 def _assert_views_tile_theta(probe):
-    assert probe.theta.dtype == np.float64 and probe.theta.ndim == 1
+    assert probe.theta.dtype == np.float32 and probe.theta.ndim == 1
     start = 0
     for name, param in probe.params().items():
         assert np.shares_memory(param, probe.theta), name
@@ -485,7 +486,7 @@ def test_params_are_views_of_theta_after_init_and_load(tmp_path):
     save_probe(probe, path)
     loaded = load_probe(path)
     _assert_views_tile_theta(loaded)
-    assert np.array_equal(loaded.theta, probe.theta.astype(np.float32))
+    assert np.array_equal(loaded.theta, probe.theta)
     loaded.theta[:] = 0.5
     assert np.all(loaded.W2 == 0.5) and np.all(loaded.b3 == 0.5)
 
@@ -550,10 +551,50 @@ def test_prb1_loaded_probe_predicts_identically(tmp_path, rng):
     save_probe(probe, path)
     loaded = load_probe(path)
     X = rng.normal(size=(20, 6))
-    # parameters pass through f32; predictions use the f32-rounded values both times
+    # a second save of the same probe loads into the same probe
     save_probe(probe, path)
     reload = load_probe(path)
     assert np.array_equal(predict(loaded, X), predict(reload, X))
+
+
+@pytest.mark.parametrize("kind", ["classification", "regression"])
+def test_saved_probe_is_the_trained_probe(kind, tmp_path):
+    rng = make_rng(9, "saved-is-trained", kind)
+    X = rng.normal(size=(40, 7))
+    y = rng.integers(0, 3, size=40) if kind == "classification" else 150.0 + 20.0 * X[:, 0]
+    probe = init_probe(7, 9, 3 if kind == "classification" else 1, kind, seed=3)
+    probe, _ = train(probe, make_dataset(X, y, kind), TrainConfig(epochs=3, seed=4))
+    path = tmp_path / "p.prb"
+    save_probe(probe, path)
+    loaded = load_probe(path)
+    assert loaded.theta.dtype == probe.theta.dtype
+    assert np.array_equal(loaded.theta, probe.theta)  # bit for bit
+    assert (loaded.target_mean, loaded.target_std) == (probe.target_mean, probe.target_std)
+    assert np.array_equal(predict(loaded, X), predict(probe, X))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["classification", "regression"])
+def test_steps_keep_the_probe_dtype(kind, dtype, rng):
+    probe = init_probe(5, 6, 3 if kind == "classification" else 1, kind, seed=1, dtype=dtype)
+    assert probe.theta.dtype == dtype
+    assert all(p.dtype == dtype for p in probe.params().values())
+    X = rng.normal(size=(8, 5))  # float64 inputs are cast to the probe's dtype
+    y = rng.integers(0, 3, size=8) if kind == "classification" else rng.normal(size=8)
+    grads = backward(probe, X, y)
+    assert grads.flat.dtype == dtype
+    assert all(g.dtype == dtype for g in grads.values())
+    state = AdamState.for_probe(probe)
+    adam_step(probe, state, grads)
+    assert probe.theta.dtype == state.m.dtype == state.v.dtype == dtype
+    preds = predict(probe, X)
+    if kind == "classification":
+        assert preds.dtype == np.intp
+    else:
+        assert preds.dtype == dtype
+    other = np.float64 if dtype == np.float32 else np.float32
+    with pytest.raises(ValueError, match="Adam state"):
+        adam_step(init_probe(5, 6, probe.output_dim, kind, seed=1, dtype=other), state, grads)
 
 
 def _saved_probe_bytes(kind):
