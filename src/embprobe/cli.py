@@ -18,23 +18,22 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, charts, synth
 from .data_model import (ATTACK_TRAITS, META_TRAITS, PartitionScheme, TraitTask,
-                         load_embeddings, load_manifest, partition,
-                         write_embeddings, write_manifest)
+                         check_train_fraction, load_embeddings, load_manifest,
+                         partition, write_embeddings, write_manifest)
 from .distance_analysis import (bonafide_spoof_pairing, read_frames,
                                 summarize_by_gender, write_distance_records)
 from .fileio import atomic_write_text
-from .metrics import classification_result, regression_result
-from .perturbation import (DEFAULT_RATES, PerturbSweepConfig, check_rate,
-                           run_sweep, speed_perturb, write_score_file)
-from .probe_net import (DEFAULT_HIDDEN_DIM, TrainConfig, init_probe, predict,
-                        save_probe, train)
+from .metrics import check_resampling, classification_result, regression_result
+from .perturbation import (DEFAULT_RATES, check_rate, run_sweep, speed_perturb,
+                           write_score_file)
+from .probe_net import (DEFAULT_HIDDEN_DIM, TrainConfig, check_dims, init_probe,
+                        predict, save_probe, train)
 from .rng import derive_seed
 from .trait_extract import (TRAIT_CSV_COLUMNS, TraitValues, chunk_fixed,
                             extract_traits, power_spectrogram, read_trait_csv,
@@ -85,97 +84,143 @@ REPORT_SCHEMA = {
     },
 }
 
-REGRESSION_TRAITS = tuple(c for c in TRAIT_CSV_COLUMNS if c != "utt_id")
 
-DEFAULTS = {
-    "seed": 0,
-    "outdir": "out",
-    "manifest": "manifest.csv",
-    "embeddings": {},
-    "traits_csv": "traits.csv",
-    "partition": {"train_fraction": 0.9, "schemes": None},
-    "train": {"epochs": 20, "batch_size": 32, "initial_lr": 0.001,
-              "decay_factor": 0.1, "decay_every": 8,
-              "hidden_dim": DEFAULT_HIDDEN_DIM, "unit_norm": False},
-    "metrics": {"n_boot": 1000, "alpha": 0.05, "n_perm": 999},
-    "tasks": [],
-    "distance": None,
-    "perturb": None,
-    "sweep": None,
-    "synth": None,
-}
+class Optional(dict):
+    """A config section that may be absent; null or empty, it reads as None."""
 
 
-# Keys of a synthetic-corpus spec: the synth section and each of its
-# per-system overrides take them.
-SYNTH_SPEC_KEYS = ("n_speakers", "utts_per_speaker", "dim", "planted", "noise_sigma",
-                   "seed", "spoof_fraction", "attack_ids")
-# Every key of the sections that DEFAULTS leaves as None (each may be absent)
-# and of the mappings inside synth.
-SECTION_KEYS = {
-    "distance": ("system", "kinds", "features_dir", "chunk_seconds", "bins"),
-    "perturb": ("rates", "audio_outdir"),
-    "sweep": ("rates", "score_files", "score_dir"),
-    "synth": SYNTH_SPEC_KEYS + ("audio", "scores", "systems"),
-    "synth.audio": ("dir", "duration_s", "sr", "freq_trait", "freq_base", "freq_scale"),
-    "synth.scores": ("dir", "rates", "n_bonafide", "n_spoof", "base_separation", "decay"),
-}
-PLANTED_KEYS = ("trait", "kind", "strength")
-TASK_KEYS = ("trait", "kind", "scheme")
+def _checked_by_name(make, **valid):
+    # the check that `make` (a library class) makes of one argument, the others valid
+    return lambda **value: make(**{**valid, **value})
 
 
-def check_config_keys(resolved: dict) -> None:
-    """Raise ValueError naming the dotted path of the first unknown key, or of
-    a section that is not a mapping, anywhere in the config."""
-    def mapping(section, path: str) -> dict:
-        if not isinstance(section, dict):
-            raise ValueError(f"config key {path!r} must be a mapping")
-        return section
+RATES = "rates"  # the kind of a non-empty list of distinct rates
+SPEC_CHECK = _checked_by_name(synth.SynthSpec, n_speakers=1, utts_per_speaker=1, dim=1)
+PLANTED_CHECK = _checked_by_name(synth.PlantedTrait, trait_name="", kind="none", strength=0.0)
+# The keys of a synthetic-corpus spec, in synth and in each synth.systems.<name>;
+# null leaves a key to synth, then to SynthSpec (the seed to the top level).
+SYNTH_SPEC = {
+    "n_speakers": (int, None, SPEC_CHECK), "utts_per_speaker": (int, None, SPEC_CHECK),
+    "dim": (int, None, SPEC_CHECK), "noise_sigma": (float, None, SPEC_CHECK), "seed": (int,),
+    "spoof_fraction": (float, None, SPEC_CHECK), "attack_ids": [(str, ...), None],
+    "planted": [{"trait": (str,), "kind": (str, None, PLANTED_CHECK),
+                 "strength": (float, 1.0, PLANTED_CHECK)}, None]}
+# Every config key. A value's spec is (kind, default, check): kind is int, float,
+# bool, str, a tuple of the strings it may be, or RATES; check, the library's
+# check of its range, takes the value by its key's name; null reads as the
+# default, or is an error if that is ... . {key: spec} is a section (Optional:
+# may be absent), {str: spec} or {float: spec} a mapping from names or rates,
+# and [item spec, default] a list. resolve_config merges the defaults of the top
+# level and its plain sections into the config (report.json echoes it).
+SCHEMA = {
+    "seed": (int, 0), "outdir": (str, "out"), "manifest": (str, "manifest.csv"),
+    "embeddings": {str: (str, ...)}, "traits_csv": (str, "traits.csv"),
+    "partition": {"train_fraction": (float, 0.9, check_train_fraction),
+                  "schemes": [(tuple(s.value for s in PartitionScheme), ...), None]},
+    "train": {"epochs": (int, 20, TrainConfig), "batch_size": (int, 32, TrainConfig),
+              "initial_lr": (float, 0.001, TrainConfig), "decay_factor": (float, 0.1, TrainConfig),
+              "decay_every": (int, 8, TrainConfig), "unit_norm": (bool, False),
+              "hidden_dim": (int, DEFAULT_HIDDEN_DIM, check_dims)},
+    "metrics": {"n_boot": (int, 1000, check_resampling), "alpha": (float, 0.05, check_resampling),
+                "n_perm": (int, 999, check_resampling)},
+    "tasks": [{"trait": (str,), "kind": (str,), "scheme": (str,)}, []],
+    "distance": Optional({"system": (str,), "features_dir": (str,), "bins": (int, 50),
+                          "kinds": [(("embedding", "encoder_spectral"), ...), ["embedding"]],
+                          "chunk_seconds": (float, 4.0)}),
+    "perturb": Optional({"rates": (RATES, DEFAULT_RATES, check_rate),
+                         "audio_outdir": (str, "perturbed")}),
+    "sweep": Optional({"rates": (RATES, DEFAULT_RATES, check_rate),
+                       "score_files": {float: (str, ...)}, "score_dir": (str,)}),
+    "synth": Optional({
+        **SYNTH_SPEC, "systems": {str: Optional(SYNTH_SPEC)},
+        "audio": Optional({"dir": (str, "audio"), "duration_s": (float, 1.0), "sr": (int, 16000),
+                           "freq_trait": (str,), "freq_base": (float, 200.0),
+                           "freq_scale": (float, 30.0)}),
+        "scores": Optional({"dir": (str, "scores"), "rates": (RATES, DEFAULT_RATES),
+                            "n_bonafide": (int, 60), "n_spoof": (int, 60),
+                            "base_separation": (float, 3.0), "decay": (float, 4.0)})})}
 
-    def check(section, known, path: str) -> None:
-        for key in mapping(section, path):
-            if key not in known:
-                dotted = f"{path}.{key}" if path else str(key)
-                raise ValueError(f"unknown config key {dotted!r} "
-                                 f"(known: {', '.join(sorted(known))})")
 
-    check(resolved, DEFAULTS, "")
-    mapping(resolved["embeddings"], "embeddings")
-    for name in ("partition", "train", "metrics"):
-        check(resolved[name], DEFAULTS[name], name)
-    for name in ("distance", "perturb", "sweep"):
-        if resolved[name] is not None:
-            check(resolved[name], SECTION_KEYS[name], name)
-    synth = resolved["synth"]
-    if synth is None:
-        synth = {}
-    check(synth, SECTION_KEYS["synth"], "synth")
-    for name in ("audio", "scores"):
-        if synth.get(name) is not None:
-            check(synth[name], SECTION_KEYS[f"synth.{name}"], f"synth.{name}")
-    specs = {"synth": synth}
-    systems = synth.get("systems")
-    if systems is not None:
-        for name, spec in mapping(systems, "synth.systems").items():
-            path = f"synth.systems.{name}"
-            specs[path] = spec if spec is not None else {}
-            check(specs[path], SYNTH_SPEC_KEYS, path)
-    for path, spec in specs.items():
-        for i, item in enumerate(spec.get("planted") or []):
-            check(item, PLANTED_KEYS, f"{path}.planted[{i}]")
-    if not isinstance(resolved["tasks"], list):
-        raise ValueError("config key 'tasks' must be a list")
-    for i, task in enumerate(resolved["tasks"]):
-        check(task, TASK_KEYS, f"tasks[{i}]")
-    for path, section in (("perturb", resolved["perturb"]), ("sweep", resolved["sweep"]),
-                          ("synth.scores", synth.get("scores"))):
-        rates = (section or {}).get("rates", DEFAULT_RATES)
-        if (not isinstance(rates, list | tuple) or not rates
-                or not all(isinstance(r, int | float) and not isinstance(r, bool)
-                           for r in rates)
-                or len(set(rates)) != len(rates)):
-            raise ValueError(f"config key '{path}.rates' must be a non-empty list "
-                             "of distinct numbers")
+TYPES = {int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+         float: ("a finite number", lambda v: isinstance(v, int | float)
+                 and not isinstance(v, bool) and abs(v) <= sys.float_info.max),
+         bool: ("true or false", lambda v: isinstance(v, bool)),
+         str: ("a string", lambda v: isinstance(v, str))}
+
+
+def _checked(path: str, check, *args, **kwargs) -> None:
+    try:
+        check(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"config key {path!r}: {exc}") from None
+
+
+def _default(spec):
+    if isinstance(spec, Optional):
+        return None
+    if isinstance(spec, dict):
+        return {} if str in spec or float in spec else {k: _default(s) for k, s in spec.items()}
+    return spec[1] if len(spec) > 1 else None
+
+
+def _rate(name, path: str) -> float:
+    try:  # JSON writes a rate as a string
+        return _typed((float,), float(name), path)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"config key {path!r} must be named by a number") from None
+
+
+def _typed(spec, value, path: str):
+    if isinstance(spec, tuple):
+        kind, default, check = (*spec, None, None)[:3]
+        if kind is RATES:
+            if (not isinstance(value, list | tuple) or not value
+                    or not all(map(TYPES[float][1], value)) or len(set(value)) != len(value)):
+                raise ValueError(f"config key {path!r} must be a non-empty list of "
+                                 "distinct numbers")
+            for rate in value if check else ():
+                _checked(path, check, rate)
+            return tuple(float(rate) for rate in value)
+        if value is None and default is not ...:
+            return default
+        expected, ok = (("one of " + ", ".join(kind), value in kind) if isinstance(kind, tuple)
+                        else (TYPES[kind][0], TYPES[kind][1](value)))
+        if not ok:
+            raise ValueError(f"config key {path!r} must be {expected}, got {value!r}")
+        if check is not None:
+            _checked(path, check, **{path.rpartition(".")[2]: value})
+        return float(value) if kind is float else value
+    if isinstance(spec, list):
+        if value is None:
+            return spec[1]
+        if not isinstance(value, list | tuple):
+            raise ValueError(f"config key {path!r} must be a list")
+        return tuple(_typed(spec[0], item, f"{path}[{i}]") for i, item in enumerate(value))
+    mapping = str in spec or float in spec
+    if (value is None and mapping) or (isinstance(spec, Optional) and value in (None, {})):
+        return _default(spec)
+    if not isinstance(value, dict):
+        raise ValueError(f"config key {path!r} must be a mapping")
+    join = (lambda key: f"{path}.{key}") if path else str
+    if mapping:
+        (name_kind, item_spec), = spec.items()
+        return {_rate(name, join(name)) if name_kind is float else name:
+                _typed(item_spec, item, join(name)) for name, item in value.items()}
+    for key in value:
+        if key not in spec:
+            raise ValueError(f"unknown config key {join(key)!r} "
+                             f"(known: {', '.join(sorted(spec))})")
+    return {key: _typed(s, value[key], join(key)) if key in value else _default(s)
+            for key, s in spec.items()}
+
+
+def check_config(resolved: dict) -> dict:
+    """The resolved config typed, with every default in; ValueError names the
+    dotted path of the first key that is unknown, of a wrong type or out of range."""
+    cfg = _typed(SCHEMA, resolved, "")
+    for i, task in enumerate(cfg["tasks"]):
+        _checked(f"tasks[{i}]", validate_task, task)
+    return cfg
 
 
 def _deep_merge(base, override):
@@ -201,7 +246,7 @@ def load_config(path) -> dict:
 
 
 def resolve_config(doc: dict, outdir=None, seed=None) -> dict:
-    resolved = _deep_merge(DEFAULTS, doc)
+    resolved = _deep_merge(copy.deepcopy(_default(SCHEMA)), doc)
     if outdir is not None:
         resolved["outdir"] = str(outdir)
     if seed is not None:
@@ -218,16 +263,14 @@ def _dump_json(path, obj) -> None:
     atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _resolve_path(resolved: dict, value) -> Path:
+def _resolve_path(cfg: dict, value) -> Path:
     # relative config paths live under the output directory
     p = Path(value)
-    return p if p.is_absolute() else Path(resolved["outdir"]) / p
+    return p if p.is_absolute() else Path(cfg["outdir"]) / p
 
 
 def validate_task(task: dict) -> None:
-    trait = task.get("trait")
-    kind = task.get("kind")
-    scheme = task.get("scheme")
+    trait, kind, scheme = task.get("trait"), task.get("kind"), task.get("scheme")
     if kind not in ("classification", "regression"):
         raise ValueError(f"task {task}: unknown kind {kind!r}")
     if scheme not in set(PartitionScheme):
@@ -244,108 +287,83 @@ def validate_task(task: dict) -> None:
             raise ValueError("age is categorical, never a regression target")
         if trait in META_TRAITS:
             raise ValueError(f"task {task}: meta trait {trait!r} is a classification target")
+        if trait not in TRAIT_CSV_COLUMNS[1:]:  # after utt_id
+            raise ValueError(f"task {task}: unknown regression trait {trait!r}")
         if scheme == "T03":
             raise ValueError(f"task {task}: acoustic traits require scheme T01 or T02")
 
 
-def _synth_spec(resolved: dict, overrides: dict | None = None) -> synth.SynthSpec:
-    scfg = resolved["synth"]
-    merged = _deep_merge(scfg, overrides or {})
-    planted = tuple(
-        synth.PlantedTrait(trait_name=p["trait"], kind=p["kind"],
-                           strength=float(p.get("strength", 1.0)))
-        for p in merged.get("planted", []) or [])
-    return synth.SynthSpec(
-        n_speakers=int(merged["n_speakers"]),
-        utts_per_speaker=int(merged["utts_per_speaker"]),
-        dim=int(merged["dim"]),
-        planted_traits=planted,
-        noise_sigma=float(merged.get("noise_sigma", 0.1)),
-        seed=int(merged["seed"]) if merged.get("seed") is not None else int(resolved["seed"]),
-        spoof_fraction=float(merged.get("spoof_fraction", 0.5)),
-        attack_ids=tuple(merged.get("attack_ids", synth.DEFAULT_ATTACKS)),
-    )
+def _synth_spec(cfg: dict, overrides: dict | None = None) -> synth.SynthSpec:
+    spec = {"seed": cfg["seed"]}
+    for source in (cfg["synth"], overrides or {}):
+        spec.update((key, value) for key, value in source.items()
+                    if key in SYNTH_SPEC and value is not None)
+    if missing := sorted({"n_speakers", "utts_per_speaker", "dim"} - spec.keys()):
+        raise ValueError(f"config key 'synth.{missing[0]}' is required")
+    planted = tuple(synth.PlantedTrait(p["trait"], p["kind"], p["strength"])
+                    for p in spec.pop("planted", ()))
+    return synth.SynthSpec(planted_traits=planted, **spec)
 
 
-def cmd_synth(resolved: dict) -> list[dict]:
-    scfg = resolved.get("synth")
-    if not scfg:
+def cmd_synth(resolved: dict, cfg: dict) -> list[dict]:
+    scfg = cfg["synth"]
+    if scfg is None:
         raise ValueError("config has no synth section")
-    base_spec = _synth_spec(resolved)
+    base_spec = _synth_spec(cfg)
     manifest = synth.build_manifest(base_spec)
 
-    manifest_path = _resolve_path(resolved, resolved["manifest"])
-    audio_cfg = scfg.get("audio")
-    if audio_cfg:
-        audio_dir = audio_cfg.get("dir", "audio")
-        dur = float(audio_cfg.get("duration_s", 1.0))
-        sr = int(audio_cfg.get("sr", 16000))
-        freq_trait = audio_cfg.get("freq_trait")
-        base = float(audio_cfg.get("freq_base", 200.0))
-        scale = float(audio_cfg.get("freq_scale", 30.0))
-        if freq_trait:
-            values = synth.planted_values(base_spec, freq_trait)
+    manifest_path = _resolve_path(cfg, cfg["manifest"])
+    audio = scfg["audio"]
+    if audio is not None:
+        if audio["freq_trait"]:
+            values = synth.planted_values(base_spec, audio["freq_trait"])
         else:
             values = np.zeros(len(manifest.rows))
-        audio_root = _resolve_path(resolved, audio_dir)
+        audio_root = _resolve_path(cfg, audio["dir"])
         # manifest audio paths are relative to the manifest's directory
         audio_rel = Path(os.path.relpath(audio_root, manifest_path.parent)).as_posix()
         rows = []
         for i, row in enumerate(manifest.rows):
-            freq = base + scale * float(np.clip(values[i], -3.0, 3.0))
+            freq = audio["freq_base"] + audio["freq_scale"] * float(np.clip(values[i], -3.0, 3.0))
             write_wav(audio_root / f"{row.utt_id}.wav",
-                      synth.gen_tone(freq, dur, sr=sr, amplitude=0.5))
-            rows.append(replace(row, audio_path=f"{audio_rel}/{row.utt_id}.wav"))
+                      synth.gen_tone(freq, audio["duration_s"], sr=audio["sr"], amplitude=0.5))
+            rows.append(dataclasses.replace(row, audio_path=f"{audio_rel}/{row.utt_id}.wav"))
         manifest = dataclasses.replace(manifest, rows=tuple(rows))
 
     write_manifest(manifest, manifest_path)
 
-    systems = scfg.get("systems") or {name: {} for name in resolved["embeddings"]}
+    systems = scfg["systems"] or {name: None for name in cfg["embeddings"]}
     for name in sorted(systems):
-        if name not in resolved["embeddings"]:
+        if name not in cfg["embeddings"]:
             raise ValueError(f"synth system {name!r} has no embeddings path in config")
-        spec = _synth_spec(resolved, systems[name])
-        table = synth.gen_table(spec, manifest)
-        write_embeddings(table, _resolve_path(resolved, resolved["embeddings"][name]))
+        table = synth.gen_table(_synth_spec(cfg, systems[name]), manifest)
+        write_embeddings(table, _resolve_path(cfg, cfg["embeddings"][name]))
 
-    scores_cfg = scfg.get("scores")
-    if scores_cfg:
-        score_dir = scores_cfg.get("dir", "scores")
-        base_sep = float(scores_cfg.get("base_separation", 3.0))
-        decay = float(scores_cfg.get("decay", 4.0))
-        for rate in scores_cfg.get("rates", DEFAULT_RATES):
-            rate = float(rate)
-            separation = max(0.2, base_sep - decay * abs(rate - 1.0))
-            rows = synth.gen_scores(int(scores_cfg.get("n_bonafide", 60)),
-                                    int(scores_cfg.get("n_spoof", 60)),
-                                    separation,
-                                    seed=derive_seed(resolved["seed"], "scores", f"{rate:g}"))
-            write_score_file(rows, _resolve_path(resolved, f"{score_dir}/scores_{rate:g}.txt"))
+    scores = scfg["scores"]
+    if scores is not None:
+        for rate in scores["rates"]:
+            separation = max(0.2, scores["base_separation"] - scores["decay"] * abs(rate - 1.0))
+            rows = synth.gen_scores(scores["n_bonafide"], scores["n_spoof"], separation,
+                                    seed=derive_seed(cfg["seed"], "scores", f"{rate:g}"))
+            write_score_file(rows, _resolve_path(cfg, f"{scores['dir']}/scores_{rate:g}.txt"))
     return []
 
 
-def _task_schemes(resolved: dict) -> list[str]:
-    schemes = resolved["partition"].get("schemes")
-    if schemes:
-        return list(schemes)
-    return sorted({t["scheme"] for t in resolved["tasks"]})
-
-
-def cmd_partition(resolved: dict) -> list[dict]:
-    manifest = load_manifest(_resolve_path(resolved, resolved["manifest"]))
-    fraction = float(resolved["partition"]["train_fraction"])
-    seed = int(resolved["seed"])
-    for scheme in _task_schemes(resolved):
+def cmd_partition(resolved: dict, cfg: dict) -> list[dict]:
+    manifest = load_manifest(_resolve_path(cfg, cfg["manifest"]))
+    fraction, seed = cfg["partition"]["train_fraction"], cfg["seed"]
+    schemes = cfg["partition"]["schemes"] or sorted({t["scheme"] for t in cfg["tasks"]})
+    for scheme in schemes:
         train_ids, eval_ids = partition(manifest, scheme, fraction, seed)
-        _dump_json(_resolve_path(resolved, f"splits/{scheme}.json"), {
+        _dump_json(_resolve_path(cfg, f"splits/{scheme}.json"), {
             "scheme": scheme, "train_fraction": fraction, "seed": seed,
             "train": list(train_ids), "eval": list(eval_ids),
         })
     return []
 
 
-def cmd_traits(resolved: dict) -> list[dict]:
-    manifest_path = _resolve_path(resolved, resolved["manifest"])
+def cmd_traits(resolved: dict, cfg: dict) -> list[dict]:
+    manifest_path = _resolve_path(cfg, cfg["manifest"])
     manifest = load_manifest(manifest_path)
     base = manifest_path.parent
     values = {}
@@ -369,24 +387,23 @@ def cmd_traits(resolved: dict) -> list[dict]:
             errors[row.utt_id] = failures
     if n_ok == 0:
         raise ValueError("trait extraction produced zero successful rows")
-    write_trait_csv(values, _resolve_path(resolved, resolved["traits_csv"]))
-    _dump_json(_resolve_path(resolved, "traits_errors.json"), errors)
+    write_trait_csv(values, _resolve_path(cfg, cfg["traits_csv"]))
+    _dump_json(_resolve_path(cfg, "traits_errors.json"), errors)
     return []
 
 
-def _load_split(resolved: dict, scheme: str) -> tuple[list[str], list[str]]:
-    path = _resolve_path(resolved, f"splits/{scheme}.json")
+def _load_split(cfg: dict, scheme: str) -> tuple[list[str], list[str]]:
+    path = _resolve_path(cfg, f"splits/{scheme}.json")
     if not path.exists():
         raise ValueError(f"split file missing for scheme {scheme}: run `partition` first")
     doc = json.loads(path.read_text(encoding="utf-8"))
     return list(doc["train"]), list(doc["eval"])
 
 
-def _run_probe_task(resolved, manifest, tables, traits, system, task):
-    validate_task(task)
+def _run_probe_task(cfg, manifest, tables, traits, system, task):
     trait, kind, scheme = task["trait"], task["kind"], task["scheme"]
     table = tables[system]
-    train_ids, eval_ids = _load_split(resolved, scheme)
+    train_ids, eval_ids = _load_split(cfg, scheme)
     dropped = 0
     if kind == "classification":
         task_obj = TraitTask.classification(manifest, trait)
@@ -394,8 +411,6 @@ def _run_probe_task(resolved, manifest, tables, traits, system, task):
     else:
         if traits is None:
             raise ValueError(f"regression trait {trait!r} needs a traits CSV: run `traits` first")
-        if trait not in REGRESSION_TRAITS:
-            raise ValueError(f"unknown regression trait {trait!r}")
         values = {utt: getattr(tv, trait) for utt, tv in traits.items()
                   if getattr(tv, trait) is not None}
         kept_train = [u for u in train_ids if u in values]
@@ -405,72 +420,66 @@ def _run_probe_task(resolved, manifest, tables, traits, system, task):
         task_obj = TraitTask.regression(trait, values)
         out_dim = 1
 
-    tcfg = resolved["train"]
-    unit_norm = bool(tcfg.get("unit_norm", False))
+    tcfg = cfg["train"]
     from .data_model import assemble
-    ds_train = assemble(manifest, table, task_obj, train_ids, "train", unit_norm)
-    ds_eval = assemble(manifest, table, task_obj, eval_ids, "eval", unit_norm)
+    ds_train = assemble(manifest, table, task_obj, train_ids, "train", tcfg["unit_norm"])
+    ds_eval = assemble(manifest, table, task_obj, eval_ids, "eval", tcfg["unit_norm"])
     if len(ds_train) == 0 or len(ds_eval) == 0:
         raise ValueError(f"empty split for task {system}/{trait}/{scheme}")
 
-    seed = int(resolved["seed"])
-    probe = init_probe(table.dim, int(tcfg["hidden_dim"]), out_dim, kind,
+    seed = cfg["seed"]
+    probe = init_probe(table.dim, tcfg["hidden_dim"], out_dim, kind,
                        seed=derive_seed(seed, "init", system, trait, scheme))
     if kind == "classification":
         probe.classes = task_obj.label_space.classes
-    cfg = TrainConfig(epochs=int(tcfg["epochs"]), batch_size=int(tcfg["batch_size"]),
-                      initial_lr=float(tcfg["initial_lr"]),
-                      decay_factor=float(tcfg["decay_factor"]),
-                      decay_every=int(tcfg["decay_every"]),
-                      seed=derive_seed(seed, "train", system, trait, scheme))
-    probe, history = train(probe, ds_train, cfg)
+    train_cfg = TrainConfig(epochs=tcfg["epochs"], batch_size=tcfg["batch_size"],
+                            initial_lr=tcfg["initial_lr"], decay_factor=tcfg["decay_factor"],
+                            decay_every=tcfg["decay_every"],
+                            seed=derive_seed(seed, "train", system, trait, scheme))
+    probe, history = train(probe, ds_train, train_cfg)
     preds = predict(probe, ds_eval.X)
 
-    mcfg = resolved["metrics"]
+    mcfg = cfg["metrics"]
     if kind == "classification":
         res = classification_result(
-            preds, ds_eval.y, out_dim, n_boot=int(mcfg["n_boot"]),
-            alpha=float(mcfg["alpha"]),
+            preds, ds_eval.y, out_dim, n_boot=mcfg["n_boot"], alpha=mcfg["alpha"],
             seed=derive_seed(seed, "bootstrap", system, trait, scheme))
         metric_block = {"accuracy": res.accuracy, "ci_low": res.ci_low,
                         "ci_high": res.ci_high, "n": res.n,
                         "confusion": res.confusion.tolist()}
     else:
-        res = regression_result(preds, ds_eval.y, n_perm=int(mcfg["n_perm"]),
+        res = regression_result(preds, ds_eval.y, n_perm=mcfg["n_perm"],
                                 seed=derive_seed(seed, "permutation", system, trait, scheme))
         metric_block = {"r_squared": res.r_squared, "p_value": res.p_value, "n": res.n}
 
     probe_rel = f"probes/{system}_{trait}_{scheme}.prb"
-    save_probe(probe, _resolve_path(resolved, probe_rel))
+    save_probe(probe, _resolve_path(cfg, probe_rel))
     return {
-        "system": system, "trait": trait, "scheme": scheme, "kind": kind,
-        "status": "ok", "metrics": metric_block,
+        "system": system, **task, "status": "ok", "metrics": metric_block,
         "history": {"losses": history.losses, "lrs": history.lrs},
         "n_train": len(ds_train), "n_eval": len(ds_eval),
         "dropped_missing_target": dropped, "probe_file": probe_rel,
     }
 
 
-def cmd_probe(resolved: dict, jobs: int = 1) -> list[dict]:
-    manifest = load_manifest(_resolve_path(resolved, resolved["manifest"]))
-    if not resolved["embeddings"]:
+def cmd_probe(resolved: dict, cfg: dict, jobs: int = 1) -> list[dict]:
+    manifest = load_manifest(_resolve_path(cfg, cfg["manifest"]))
+    if not cfg["embeddings"]:
         raise ValueError("config declares no embedding tables")
-    tables = {name: load_embeddings(_resolve_path(resolved, path))
-              for name, path in resolved["embeddings"].items()}
-    traits_path = _resolve_path(resolved, resolved["traits_csv"])
+    tables = {name: load_embeddings(_resolve_path(cfg, path))
+              for name, path in cfg["embeddings"].items()}
+    traits_path = _resolve_path(cfg, cfg["traits_csv"])
     traits = read_trait_csv(traits_path) if traits_path.exists() else None
 
     jobs_list = [(system, task) for system in sorted(tables)
-                 for task in resolved["tasks"]]
+                 for task in cfg["tasks"]]
 
     def run(item):
         system, task = item
         try:
-            return _run_probe_task(resolved, manifest, tables, traits, system, task)
+            return _run_probe_task(cfg, manifest, tables, traits, system, task)
         except (ValueError, OSError) as exc:
-            return {"system": system, "trait": task.get("trait"),
-                    "scheme": task.get("scheme"), "kind": task.get("kind"),
-                    "status": "failed", "error": str(exc)}
+            return {"system": system, **task, "status": "failed", "error": str(exc)}
 
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -484,12 +493,12 @@ def cmd_probe(resolved: dict, jobs: int = 1) -> list[dict]:
         "config_fingerprint": config_fingerprint(resolved),
         "tasks": records,
     }
-    _dump_json(_resolve_path(resolved, "probe_report.json"), report)
-    _emit_probe_charts(resolved, records)
+    _dump_json(_resolve_path(cfg, "probe_report.json"), report)
+    _emit_probe_charts(cfg, records)
     return [r for r in records if r["status"] == "failed"]
 
 
-def _emit_probe_charts(resolved: dict, records: list[dict]) -> None:
+def _emit_probe_charts(cfg: dict, records: list[dict]) -> None:
     systems = sorted({r["system"] for r in records if r["status"] == "ok"})
     for kind, fname, field, ylabel in (
             ("classification", "charts/classification_accuracy.svg", "accuracy", "accuracy"),
@@ -508,116 +517,99 @@ def _emit_probe_charts(resolved: dict, records: list[dict]) -> None:
                    for g in groups] for s in systems]
         else:
             lo = hi = None
-        charts.bar_chart(_resolve_path(resolved, fname),
+        charts.bar_chart(_resolve_path(cfg, fname),
                          f"Probe {kind} performance", groups, systems, values,
                          err_low=lo, err_high=hi, ylabel=ylabel)
 
 
-def cmd_distance(resolved: dict) -> list[dict]:
-    dcfg = resolved.get("distance")
-    if not dcfg:
+def cmd_distance(resolved: dict, cfg: dict) -> list[dict]:
+    dcfg = cfg["distance"]
+    if dcfg is None:
         raise ValueError("config has no distance section")
-    manifest_path = _resolve_path(resolved, resolved["manifest"])
+    manifest_path = _resolve_path(cfg, cfg["manifest"])
     manifest = load_manifest(manifest_path)
     rows = manifest.row_map()
     paired: dict[str, tuple] = {}
-    for kind in dcfg.get("kinds", ["embedding"]):
+    for kind in dcfg["kinds"]:
         source = None  # utt_id -> the file a pairing error names
         if kind == "embedding":
-            system = dcfg.get("system")
-            if system not in resolved["embeddings"]:
+            system = dcfg["system"]
+            if system not in cfg["embeddings"]:
                 raise ValueError(f"distance system {system!r} has no embeddings path")
-            table = load_embeddings(_resolve_path(resolved, resolved["embeddings"][system]))
+            table = load_embeddings(_resolve_path(cfg, cfg["embeddings"][system]))
             load = table.entries
-        elif kind == "encoder_spectral":
-            features_dir = dcfg.get("features_dir")
-            chunk_s = float(dcfg.get("chunk_seconds", 4.0))
+        else:
+            features_dir = dcfg["features_dir"]
 
             def frm_path(utt: str) -> Path:
-                return _resolve_path(resolved, f"{features_dir}/{utt}.frm")
+                return _resolve_path(cfg, f"{features_dir}/{utt}.frm")
 
             def load(utt: str) -> np.ndarray:
                 if features_dir:
                     return read_frames(frm_path(utt))
                 if rows[utt].audio_path:
                     wav = read_wav(manifest_path.parent / rows[utt].audio_path)
-                    return power_spectrogram(chunk_fixed(wav, chunk_s)).frames
+                    return power_spectrogram(chunk_fixed(wav, dcfg["chunk_seconds"])).frames
                 raise ValueError(f"{utt}: no frame features or audio for encoder_spectral")
 
             source = frm_path if features_dir else None
-        else:
-            raise ValueError(f"unknown distance kind {kind!r}")
         # one speaker's representations at a time, each read exactly once
         paired[kind] = bonafide_spoof_pairing(manifest, load, kind, source=source)
     # every kind is paired before the first file is written
-    bins = int(dcfg.get("bins", 50))
     summary: dict[str, dict] = {}
     for kind, (records, skipped) in paired.items():
-        write_distance_records(records, _resolve_path(resolved, f"distance_records_{kind}.csv"))
-        female, male = summarize_by_gender(records, bins=bins)
+        write_distance_records(records, _resolve_path(cfg, f"distance_records_{kind}.csv"))
+        female, male = summarize_by_gender(records, bins=dcfg["bins"])
         summary[kind] = {
             "female": dataclasses.asdict(female), "male": dataclasses.asdict(male),
             "skipped": skipped,
         }
         charts.histogram_overlay(
-            _resolve_path(resolved, f"charts/distance_{kind}.svg"),
+            _resolve_path(cfg, f"charts/distance_{kind}.svg"),
             f"Bonafide-spoof distance by gender ({kind})",
             {"female": [r.mean_distance for r in records if r.gender == "female"],
              "male": [r.mean_distance for r in records if r.gender == "male"]},
-            bins=bins, xlabel="mean distance")
-    _dump_json(_resolve_path(resolved, "distance_summary.json"), summary)
+            bins=dcfg["bins"], xlabel="mean distance")
+    _dump_json(_resolve_path(cfg, "distance_summary.json"), summary)
     return []
 
 
-def cmd_perturb(resolved: dict) -> list[dict]:
-    pcfg = resolved.get("perturb")
-    if not pcfg:
+def cmd_perturb(resolved: dict, cfg: dict) -> list[dict]:
+    pcfg = cfg["perturb"]
+    if pcfg is None:
         raise ValueError("config has no perturb section")
-    rates = [float(r) for r in pcfg.get("rates", DEFAULT_RATES)]
-    for rate in rates:
-        check_rate(rate)
-    manifest_path = _resolve_path(resolved, resolved["manifest"])
+    manifest_path = _resolve_path(cfg, cfg["manifest"])
     manifest = load_manifest(manifest_path)
-    out_rel = pcfg.get("audio_outdir", "perturbed")
     wrote = 0
     for row in manifest.rows:
         if not row.audio_path:
             continue
         wav = read_wav(manifest_path.parent / row.audio_path)
-        for rate in rates:
-            out = speed_perturb(wav, rate)
-            write_wav(_resolve_path(resolved, f"{out_rel}/r{rate:g}/{row.utt_id}.wav"), out)
+        for rate in pcfg["rates"]:
+            out = _resolve_path(cfg, f"{pcfg['audio_outdir']}/r{rate:g}/{row.utt_id}.wav")
+            write_wav(out, speed_perturb(wav, rate))
             wrote += 1
     if wrote == 0:
         raise ValueError("no rows with audio paths to perturb")
     return []
 
 
-def cmd_sweep(resolved: dict) -> list[dict]:
-    scfg = resolved.get("sweep")
-    if not scfg:
+def cmd_sweep(resolved: dict, cfg: dict) -> list[dict]:
+    scfg = cfg["sweep"]
+    if scfg is None:
         raise ValueError("config has no sweep section")
-    rates = tuple(float(r) for r in scfg.get("rates", DEFAULT_RATES))
-    for rate in rates:
-        check_rate(rate)
-    files = {}
-    if scfg.get("score_files"):
-        for key, path in scfg["score_files"].items():
-            files[float(key)] = str(_resolve_path(resolved, path))
-    elif scfg.get("score_dir"):
-        for rate in rates:
-            files[rate] = str(_resolve_path(resolved, f"{scfg['score_dir']}/scores_{rate:g}.txt"))
+    if scfg["score_files"]:
+        files = {rate: str(_resolve_path(cfg, p)) for rate, p in scfg["score_files"].items()}
+    elif scfg["score_dir"]:
+        files = {rate: str(_resolve_path(cfg, f"{scfg['score_dir']}/scores_{rate:g}.txt"))
+                 for rate in scfg["rates"]}
     else:
         raise ValueError("sweep needs score_files or score_dir")
-    cfg = PerturbSweepConfig(rates=rates, score_files=files)
-    results = run_sweep(cfg, outdir=_resolve_path(resolved, "."))
-    _dump_json(_resolve_path(resolved, "sweep_eer.json"),
-               {f"{rate:g}": {"eer": res.eer, "threshold": res.threshold}
-                for rate, res in results.items()})
+    run_sweep(scfg["rates"], files, outdir=_resolve_path(cfg, "."))
     return []
 
 
-def cmd_report(resolved: dict) -> list[dict]:
+def cmd_report(resolved: dict, cfg: dict) -> list[dict]:
     report = {
         "version": REPORT_VERSION,
         "toolkit_version": __version__,
@@ -628,11 +620,11 @@ def cmd_report(resolved: dict) -> list[dict]:
     for key, fname in (("tasks", "probe_report.json"),
                        ("distance", "distance_summary.json"),
                        ("sweep", "sweep_eer.json")):
-        path = _resolve_path(resolved, fname)
+        path = _resolve_path(cfg, fname)
         if path.exists():
             doc = json.loads(path.read_text(encoding="utf-8"))
             report[key] = doc.get("tasks", doc) if fname == "probe_report.json" else doc
-    _dump_json(_resolve_path(resolved, "report.json"), report)
+    _dump_json(_resolve_path(cfg, "report.json"), report)
     return []
 
 
@@ -663,19 +655,16 @@ def main(argv=None) -> int:
         sub.add_parser(name, parents=[common])
     args = parser.parse_args(argv)
 
-    doc = load_config(args.config)
-    resolved = resolve_config(doc, outdir=args.outdir, seed=args.seed)
-    failures_path = _resolve_path(resolved, "failures.json")
+    resolved = resolve_config(load_config(args.config), outdir=args.outdir, seed=args.seed)
+    failures_path = Path(str(resolved["outdir"]), "failures.json")  # even if outdir is bad
     failures_path.unlink(missing_ok=True)  # a successful rerun leaves none behind
 
     try:
-        check_config_keys(resolved)
-        for task in resolved["tasks"]:
-            validate_task(task)
+        cfg = check_config(resolved)
         if args.command == "probe":
-            failures = cmd_probe(resolved, jobs=max(1, args.jobs))
+            failures = cmd_probe(resolved, cfg, jobs=max(1, args.jobs))
         else:
-            failures = COMMANDS[args.command](resolved)
+            failures = COMMANDS[args.command](resolved, cfg)
     except (ValueError, OSError) as exc:
         failures = [{"command": args.command, "error": str(exc)}]
 

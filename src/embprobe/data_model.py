@@ -380,6 +380,12 @@ def _eval_count(n: int, train_fraction: float) -> int:
     return min(n - 1, max(1, _round_half_up((1.0 - train_fraction) * n)))
 
 
+def check_train_fraction(train_fraction: float) -> None:
+    """Raise ValueError unless `train_fraction` lies in (0, 1)."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError("train_fraction must lie in (0, 1)")
+
+
 def partition(manifest: Manifest, scheme, train_fraction: float = 0.9,
               seed: int = 0) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Split a manifest into (train, eval) utt_id tuples.
@@ -390,8 +396,7 @@ def partition(manifest: Manifest, scheme, train_fraction: float = 0.9,
     Deterministic given (manifest, scheme, train_fraction, seed).
     """
     scheme = PartitionScheme(scheme)
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must lie in (0, 1)")
+    check_train_fraction(train_fraction)
     rng = make_rng(seed, "partition", scheme.value)
     train: list[str] = []
     evals: list[str] = []

@@ -52,6 +52,15 @@ def confusion_matrix(preds, labels, n_classes: int) -> np.ndarray:
     return mat
 
 
+def check_resampling(n_boot: int = 1000, alpha: float = 0.05, n_perm: int = 999) -> None:
+    """Raise ValueError unless every resampling setting lies in its range."""
+    for name, n in (("n_boot", n_boot), ("n_perm", n_perm)):
+        if n < 100:
+            raise ValueError(f"{name} must be >= 100")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+
+
 def bootstrap_ci(preds, labels, n_boot: int = 1000, alpha: float = 0.05,
                  seed: int = 0) -> tuple[float, float]:
     """Percentile bootstrap interval for classification accuracy.
@@ -66,10 +75,7 @@ def bootstrap_ci(preds, labels, n_boot: int = 1000, alpha: float = 0.05,
     n = p.size
     if n < 2:
         raise ValueError("need at least 2 samples for a bootstrap interval")
-    if n_boot < 100:
-        raise ValueError("n_boot must be >= 100")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    check_resampling(n_boot=n_boot, alpha=alpha)
     rng = make_rng(seed, "bootstrap")
     hits = (p == t).astype(np.float64)
     idx = rng.integers(0, n, size=(n_boot, n))
@@ -112,8 +118,7 @@ def permutation_p_value(preds, targets, n_perm: int = 999, seed: int = 0) -> flo
         raise ValueError("preds and targets must have equal length")
     if p.size < 3:
         raise ValueError("need at least 3 samples")
-    if n_perm < 100:
-        raise ValueError("n_perm must be >= 100")
+    check_resampling(n_perm=n_perm)
     observed = r_squared(p, t)
     rng = make_rng(seed, "permutation")
     count = 0

@@ -7,8 +7,9 @@ and reports EER per rate.
 """
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,20 +32,6 @@ class ScoreRow:
     utt_id: str
     score: float
     is_bonafide: bool
-
-
-@dataclass(frozen=True)
-class PerturbSweepConfig:
-    rates: tuple[float, ...] = DEFAULT_RATES
-    score_files: dict[float, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if len(set(self.rates)) != len(self.rates):
-            raise ValueError("rates must be distinct")
-        if any(r <= 0 for r in self.rates):
-            raise ValueError("rates must be positive")
-        if 1.0 not in self.rates:
-            raise ValueError("baseline rate 1.0 must be included")
 
 
 # Rates are taken as the nearest fraction p/q with q at most this, so output
@@ -156,14 +143,18 @@ def write_score_file(rows, path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def run_sweep(cfg: PerturbSweepConfig, outdir=None) -> dict[float, EERResult]:
-    """EER per rate from per-rate score files.
-
-    With `outdir` set, also emits `sweep_eer.csv` and an SVG line chart.
-    """
+def run_sweep(rates, score_files: dict, outdir=None) -> dict[float, EERResult]:
+    """EER per rate from `score_files[rate]`; the rates must be distinct, positive and
+    include 1.0. With `outdir` set, also emits sweep_eer.csv, .json and an SVG chart."""
+    if len(set(rates)) != len(rates):
+        raise ValueError("rates must be distinct")
+    if any(r <= 0 for r in rates):
+        raise ValueError("rates must be positive")
+    if 1.0 not in rates:
+        raise ValueError("baseline rate 1.0 must be included")
     results: dict[float, EERResult] = {}
-    for rate in cfg.rates:
-        path = cfg.score_files.get(rate)
+    for rate in rates:
+        path = score_files.get(rate)
         if path is None:
             raise ValueError(f"no score file declared for rate {rate}")
         if not Path(path).exists():
@@ -180,6 +171,9 @@ def run_sweep(cfg: PerturbSweepConfig, outdir=None) -> dict[float, EERResult]:
         lines = ["rate,eer,threshold"]
         lines += [f"{r!r},{results[r].eer!r},{results[r].threshold!r}" for r in rates]
         atomic_write_text(outdir / "sweep_eer.csv", "\n".join(lines) + "\n")
+        eers = {f"{r:g}": {"eer": results[r].eer, "threshold": results[r].threshold} for r in rates}
+        atomic_write_text(outdir / "sweep_eer.json",
+                          json.dumps(eers, sort_keys=True, indent=2) + "\n")
         from .charts import line_chart
         line_chart(outdir / "sweep_eer.svg", "CM performance vs speed perturbation rate",
                    rates, [100.0 * results[r].eer for r in rates],

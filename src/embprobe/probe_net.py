@@ -107,14 +107,18 @@ class MLPProbe:
         return {name: getattr(self, name) for name in PARAM_NAMES}
 
 
+def check_dims(**dims: int) -> None:
+    """Raise ValueError unless every named layer width is at least 1."""
+    for name, value in dims.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def init_probe(input_dim: int, hidden_dim: int, output_dim: int,
                task_kind: str, seed: int = 0, dtype=np.float32) -> MLPProbe:
     """Fresh probe with uniform fan-based weights and zero biases, its
     parameters of `dtype` (the float64 draws rounded to it)."""
-    for name, value in (("input_dim", input_dim), ("hidden_dim", hidden_dim),
-                        ("output_dim", output_dim)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    check_dims(input_dim=input_dim, hidden_dim=hidden_dim, output_dim=output_dim)
     if task_kind not in ("classification", "regression"):
         raise ValueError(f"unknown task kind {task_kind!r}")
     if task_kind == "regression" and output_dim != 1:
@@ -316,6 +320,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not (math.isfinite(self.initial_lr) and self.initial_lr > 0.0):
+            raise ValueError("initial_lr must be positive and finite")
         if not 0.0 < self.decay_factor <= 1.0:
             raise ValueError("decay_factor must lie in (0, 1]")
         if self.decay_every < 1:

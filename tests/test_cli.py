@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +10,11 @@ import jsonschema
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from embprobe.cli import (REPORT_SCHEMA, check_config_keys, cmd_perturb,
-                          config_fingerprint, main, resolve_config, validate_task)
+from embprobe.cli import (REPORT_SCHEMA, check_config, config_fingerprint, main,
+                          resolve_config, validate_task)
 from embprobe.data_model import load_embeddings, load_manifest
 from embprobe.distance_analysis import write_frames
 from embprobe.trait_extract import read_trait_csv, read_wav
@@ -224,7 +228,7 @@ def test_config_typo_fails_before_any_work(tmp_path, typo, path):
     cfg = pipeline_config(outdir)
     cfg.update({key: {**cfg.get(key, {}), **value} for key, value in typo.items()})
     with pytest.raises(ValueError, match=rf"unknown config key '{path}'"):
-        check_config_keys(resolve_config(cfg))
+        check_config(resolve_config(cfg))
     assert run("synth", write_config(tmp_path, cfg)) == 1
     error = json.loads((outdir / "failures.json").read_text())["failures"][0]["error"]
     assert f"unknown config key '{path}'" in error
@@ -244,7 +248,7 @@ def test_bad_rate_list_fails_before_any_work(tmp_path, command, section, rates):
     target["rates"] = rates
     message = f"config key '{section}.rates' must be a non-empty list of distinct numbers"
     with pytest.raises(ValueError, match=message):
-        check_config_keys(resolve_config(cfg))
+        check_config(resolve_config(cfg))
     assert run(command, write_config(tmp_path, cfg)) == 1
     error = json.loads((outdir / "failures.json").read_text())["failures"][0]["error"]
     assert error == message
@@ -269,15 +273,15 @@ def test_nested_config_typo_names_its_path(tmp_path, edit, message):
     cfg = pipeline_config(tmp_path / "out")
     edit(cfg)
     with pytest.raises(ValueError, match=message):
-        check_config_keys(resolve_config(cfg))
+        check_config(resolve_config(cfg))
 
 
 def test_absent_optional_sections_pass_the_key_check(tmp_path):
     cfg = pipeline_config(tmp_path / "out")
     cfg.update(distance=None, perturb=None, sweep=None, synth=None)
-    check_config_keys(resolve_config(cfg))
+    check_config(resolve_config(cfg))
     cfg["synth"] = {"n_speakers": 2, "audio": None, "systems": {"cm": None}}
-    check_config_keys(resolve_config(cfg))
+    check_config(resolve_config(cfg))
 
 
 def test_sweep_bad_rate_fails_before_reading_scores(tmp_path):
@@ -331,6 +335,139 @@ def test_validate_task_rules():
         validate_task({"trait": "gender", "kind": "regression", "scheme": "T02"})
 
 
+@pytest.mark.parametrize("command", ["synth", "partition", "traits", "probe", "distance",
+                                     "perturb", "sweep", "report"])
+@pytest.mark.parametrize("section, key, value", [
+    (None, "seed", "abc"),
+    (None, "seed", 7.9),
+    ("train", "unit_norm", "no"),
+    ("train", "initial_lr", -1.0),
+    ("metrics", "n_perm", "999"),
+    ("train", "epochs", "x"),
+    ("train", "hidden_dim", 0),
+    ("metrics", "alpha", 2.0),
+    ("distance", "kinds", "embedding"),
+    ("partition", "schemes", "T02"),
+    ("sweep", "score_files", {"one": "scores/scores_1.txt"}),
+], ids=lambda v: str(v))
+def test_bad_config_value_fails_before_any_io(tmp_path, command, section, key, value):
+    cfg = pipeline_config(tmp_path / "out")  # no manifest or other input exists
+    (cfg[section] if section else cfg)[key] = value
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(cfg_path)]) == 1
+    error = json.loads((tmp_path / "out" / "failures.json").read_text())["failures"][0]["error"]
+    dotted = f"{section}.{key}" if section else key
+    if key == "score_files":
+        dotted += ".one"
+    assert error.startswith(f"config key {dotted!r}")
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "out", "out/failures.json", "run.json"]
+
+
+def _config_sites(node, keys=()):
+    """(keys, dotted path, value) of every value in a config, and of every
+    mapping whose keys are fixed (not `embeddings`, whose keys name systems)."""
+    dotted = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+    if isinstance(node, dict):
+        if keys != ("embeddings",):
+            yield keys, dotted, node
+        for key, value in node.items():
+            yield from _config_sites(value, keys + (key,))
+    elif isinstance(node, list) and node and isinstance(node[0], dict):
+        for i, item in enumerate(node):
+            yield from _config_sites(item, keys + (i,))
+    else:
+        yield keys, dotted, node
+
+
+VALID_CONFIG = pipeline_config("out")
+SITES = [(keys, dotted, value) for keys, dotted, value in _config_sites(VALID_CONFIG) if keys]
+SECTIONS = [("", VALID_CONFIG)] + [(dotted, value) for _, dotted, value in SITES
+                                   if isinstance(value, dict)]
+LEAVES = [(keys, dotted, value) for keys, dotted, value in SITES if not isinstance(value, dict)]
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+WRONG_TYPE = {  # values of any other type than a valid value's
+    int: st.one_of(st.text(), st.booleans(), st.floats(), st.lists(st.integers(), max_size=2)),
+    float: st.one_of(st.text(), st.booleans(), st.sampled_from([math.nan, math.inf, -math.inf]),
+                     st.lists(FLOATS, max_size=2)),
+    str: st.one_of(st.integers(), st.floats(), st.booleans(), st.lists(st.text(), max_size=2)),
+    bool: st.one_of(st.integers(), st.floats(), st.text()),
+    list: st.one_of(st.text(), st.integers(), st.dictionaries(st.text(), st.integers())),
+}
+OUTSIDE_UNIT = st.one_of(st.floats(max_value=-1e-9), st.floats(min_value=1.0 + 1e-9,
+                                                                allow_infinity=False))
+BAD_RATES = st.lists(st.floats(max_value=0.49) | st.floats(min_value=2.01, allow_infinity=False),
+                     min_size=1, max_size=3, unique=True)
+OUT_OF_RANGE = {
+    "train.epochs": st.integers(max_value=0),
+    "train.batch_size": st.integers(max_value=0),
+    "train.initial_lr": st.floats(max_value=0.0),
+    "train.decay_factor": st.floats(max_value=0.0) | st.floats(min_value=1.0 + 1e-9,
+                                                               allow_infinity=False),
+    "train.decay_every": st.integers(max_value=0),
+    "train.hidden_dim": st.integers(max_value=0),
+    "metrics.n_boot": st.integers(max_value=99),
+    "metrics.alpha": st.floats(max_value=0.0) | st.floats(min_value=1.0, allow_infinity=False),
+    "metrics.n_perm": st.integers(max_value=99),
+    "partition.train_fraction": st.floats(max_value=0.0) | st.floats(min_value=1.0,
+                                                                     allow_infinity=False),
+    "partition.schemes": st.lists(st.text().filter(lambda s: s not in ("T01", "T02", "T03")),
+                                  min_size=1, max_size=2),
+    "distance.kinds": st.lists(st.text().filter(
+        lambda k: k not in ("embedding", "encoder_spectral")), min_size=1, max_size=2),
+    "perturb.rates": BAD_RATES,
+    "sweep.rates": BAD_RATES,
+    "synth.n_speakers": st.integers(max_value=0),
+    "synth.utts_per_speaker": st.integers(max_value=0),
+    "synth.dim": st.integers(max_value=0),
+    "synth.noise_sigma": st.floats(max_value=-1e-9),
+    "synth.spoof_fraction": OUTSIDE_UNIT,
+    "synth.planted[0].kind": st.text().filter(
+        lambda k: k not in ("cluster", "linear_subspace", "none")),
+    "synth.planted[0].strength": OUTSIDE_UNIT,
+    "tasks[0]": st.just({"trait": "gender", "kind": "classification", "scheme": "T03"}),
+}
+
+
+def _set(cfg, keys, value):
+    for key in keys[:-1]:
+        cfg = cfg[key]
+    cfg[keys[-1]] = value
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_config_check_names_the_one_bad_key(data):
+    """A valid config with one key given a value of the wrong type, a value out
+    of range or an unknown name fails the check, naming that key's path."""
+    cfg = json.loads(json.dumps(VALID_CONFIG))
+    fault = data.draw(st.sampled_from(["type", "range", "name"]))
+    if fault == "name":
+        path, section = data.draw(st.sampled_from(SECTIONS))
+        key = data.draw(st.text(min_size=1).filter(lambda k: k not in section))
+        _set(cfg, [k for k, d, _ in SITES if d == path][0] + (key,) if path else (key,), 0)
+        expected = repr(f"{path}.{key}" if path else key)
+    elif fault == "type":
+        keys, path, value = data.draw(st.sampled_from(LEAVES))
+        _set(cfg, keys, data.draw(WRONG_TYPE[type(value)]))
+        expected = repr(path)
+    else:
+        path = data.draw(st.sampled_from(sorted(OUT_OF_RANGE)))
+        keys = tuple(int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path))
+        _set(cfg, keys, data.draw(OUT_OF_RANGE[path]))
+        expected = repr(path)[:-1]  # a list item's path may follow
+    with pytest.raises(ValueError) as info:
+        check_config(resolve_config(cfg))
+    assert expected in str(info.value)
+
+
+def test_valid_configs_pass_the_check():
+    check_config(resolve_config(VALID_CONFIG))
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    check_config(resolve_config(yaml.safe_load(readme.split("```yaml\n")[1].split("```")[0])))
+
+
 def test_fingerprint_changes_iff_config_changes(tmp_path):
     cfg = pipeline_config(tmp_path / "o")
     a = config_fingerprint(resolve_config(cfg))
@@ -369,11 +506,11 @@ def test_perturb_bad_rate_fails_before_any_audio(tmp_path):
     outdir = tmp_path / "out"
     cfg = pipeline_config(outdir)
     cfg["synth"].update(n_speakers=2, utts_per_speaker=4)
+    assert run("synth", write_config(tmp_path, cfg)) == 0
     cfg["perturb"]["rates"] = [0.8, 2.5]
     cfg_path = write_config(tmp_path, cfg)
-    assert run("synth", cfg_path) == 0
     with pytest.raises(ValueError, match=r"rate 2\.5 outside"):
-        cmd_perturb(resolve_config(cfg))
+        check_config(resolve_config(cfg))
     assert run("perturb", cfg_path) == 1
     failures = json.loads((outdir / "failures.json").read_text())
     assert "rate 2.5" in failures["failures"][0]["error"]
@@ -384,7 +521,10 @@ def test_perturb_checks_rates_before_reading_the_manifest(tmp_path):
     cfg = pipeline_config(tmp_path / "out")  # no synth: the manifest does not exist
     cfg["perturb"]["rates"] = [2.5]
     with pytest.raises(ValueError, match=r"rate 2\.5 outside"):
-        cmd_perturb(resolve_config(cfg))
+        check_config(resolve_config(cfg))
+    assert main(["perturb", "--config", write_config(tmp_path, cfg)]) == 1
+    error = json.loads((tmp_path / "out" / "failures.json").read_text())["failures"][0]["error"]
+    assert error == "config key 'perturb.rates': rate 2.5 outside [0.5, 2.0]"
 
 
 def test_successful_rerun_removes_failures_file(tmp_path):

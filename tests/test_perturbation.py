@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from embprobe import perturbation
-from embprobe.perturbation import (HALF_TAPS, KAISER_BETA, MAX_RATE_DENOMINATOR,
-                                   PerturbSweepConfig, ScoreRow, read_score_file,
-                                   run_sweep, speed_perturb, write_score_file)
+from embprobe.perturbation import (HALF_TAPS, KAISER_BETA, MAX_RATE_DENOMINATOR, ScoreRow,
+                                   read_score_file, run_sweep, speed_perturb,
+                                   write_score_file)
 from embprobe.synth import gen_scores, gen_tone
 from embprobe.trait_extract import Waveform, f0_mean
 
@@ -259,9 +259,9 @@ def test_score_file_invalid_utf8_names_path(tmp_path):
 
 def test_sweep_config_validation():
     with pytest.raises(ValueError, match="baseline"):
-        PerturbSweepConfig(rates=(0.8, 0.9))
+        run_sweep((0.8, 0.9), {})
     with pytest.raises(ValueError, match="distinct"):
-        PerturbSweepConfig(rates=(1.0, 1.0))
+        run_sweep((1.0, 1.0), {})
 
 
 def _write_scores(path, rows):
@@ -274,7 +274,7 @@ def test_sweep_identical_files_identical_eer(tmp_path):
     files = {}
     for rate in (0.9, 1.0, 1.1):
         files[rate] = _write_scores(tmp_path / f"s{rate}.txt", rows)
-    results = run_sweep(PerturbSweepConfig(rates=(0.9, 1.0, 1.1), score_files=files))
+    results = run_sweep((0.9, 1.0, 1.1), files)
     eers = {res.eer for res in results.values()}
     assert len(eers) == 1
 
@@ -283,21 +283,18 @@ def test_sweep_missing_class(tmp_path):
     rows = [ScoreRow("U1", 0.5, True), ScoreRow("U2", 0.1, True)]
     files = {1.0: _write_scores(tmp_path / "only_bona.txt", rows)}
     with pytest.raises(ValueError, match="missing class"):
-        run_sweep(PerturbSweepConfig(rates=(1.0,), score_files=files))
+        run_sweep((1.0,), files)
 
 
 def test_sweep_missing_file(tmp_path):
-    cfg = PerturbSweepConfig(rates=(1.0,), score_files={1.0: str(tmp_path / "nope.txt")})
     with pytest.raises(ValueError, match="missing score file"):
-        run_sweep(cfg)
+        run_sweep((1.0,), {1.0: str(tmp_path / "nope.txt")})
 
 
 def test_sweep_undeclared_rate(tmp_path):
     rows = gen_scores(10, 10, 1.0, seed=1)
-    cfg = PerturbSweepConfig(rates=(1.0, 1.1),
-                             score_files={1.0: _write_scores(tmp_path / "a.txt", rows)})
     with pytest.raises(ValueError, match="no score file declared"):
-        run_sweep(cfg)
+        run_sweep((1.0, 1.1), {1.0: _write_scores(tmp_path / "a.txt", rows)})
 
 
 def test_sweep_degrading_families(tmp_path):
@@ -308,8 +305,7 @@ def test_sweep_degrading_families(tmp_path):
         sep = 4.0 - 12.0 * abs(rate - 1.0)
         rows = gen_scores(400, 400, max(0.2, sep), seed=17)
         files[rate] = _write_scores(tmp_path / f"r{rate}.txt", rows)
-    results = run_sweep(PerturbSweepConfig(rates=rates, score_files=files),
-                        outdir=tmp_path)
+    results = run_sweep(rates, files, outdir=tmp_path)
     eers = {r: results[r].eer for r in rates}
     assert eers[1.0] < eers[0.9] < eers[0.8]
     assert eers[1.0] < eers[1.1] < eers[1.2]
@@ -320,9 +316,9 @@ def test_sweep_degrading_families(tmp_path):
 def test_sweep_outputs_idempotent(tmp_path):
     rows = gen_scores(30, 30, 2.0, seed=9)
     files = {1.0: _write_scores(tmp_path / "s.txt", rows)}
-    cfg = PerturbSweepConfig(rates=(1.0,), score_files=files)
-    run_sweep(cfg, outdir=tmp_path)
-    first = (tmp_path / "sweep_eer.csv").read_bytes(), (tmp_path / "sweep_eer.svg").read_bytes()
-    run_sweep(cfg, outdir=tmp_path)
-    second = (tmp_path / "sweep_eer.csv").read_bytes(), (tmp_path / "sweep_eer.svg").read_bytes()
+    outputs = ("sweep_eer.csv", "sweep_eer.json", "sweep_eer.svg")
+    run_sweep((1.0,), files, outdir=tmp_path)
+    first = [(tmp_path / name).read_bytes() for name in outputs]
+    run_sweep((1.0,), files, outdir=tmp_path)
+    second = [(tmp_path / name).read_bytes() for name in outputs]
     assert first == second

@@ -428,6 +428,12 @@ def test_train_rejects_eval_split():
         train(probe, ds, TrainConfig())
 
 
+@pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
+def test_train_config_rejects_bad_initial_lr(lr):
+    with pytest.raises(ValueError, match="initial_lr must be positive and finite"):
+        TrainConfig(initial_lr=lr)
+
+
 def test_regression_target_normalization_roundtrip():
     rng = make_rng(5, "norm")
     X = rng.normal(size=(64, 4))
