@@ -26,7 +26,7 @@ from . import __version__, charts, synth
 from .data_model import (ATTACK_TRAITS, META_TRAITS, PartitionScheme, TraitTask,
                          check_train_fraction, load_embeddings, load_manifest,
                          partition, write_embeddings, write_manifest)
-from .distance_analysis import (bonafide_spoof_pairing, read_frames,
+from .distance_analysis import (bonafide_spoof_pairing, check_bins, read_frames,
                                 summarize_by_gender, write_distance_records)
 from .fileio import atomic_write_text
 from .metrics import check_resampling, classification_result, regression_result
@@ -35,9 +35,9 @@ from .perturbation import (DEFAULT_RATES, check_rate, run_sweep, speed_perturb,
 from .probe_net import (DEFAULT_HIDDEN_DIM, TrainConfig, check_dims, init_probe,
                         predict, save_probe, train)
 from .rng import derive_seed
-from .trait_extract import (TRAIT_CSV_COLUMNS, TraitValues, chunk_fixed,
-                            extract_traits, power_spectrogram, read_trait_csv,
-                            read_wav, write_trait_csv, write_wav)
+from .trait_extract import (TRAIT_CSV_COLUMNS, TraitValues, check_chunk_seconds,
+                            chunk_fixed, extract_traits, power_spectrogram,
+                            read_trait_csv, read_wav, write_trait_csv, write_wav)
 
 REPORT_VERSION = 1
 
@@ -102,7 +102,7 @@ PLANTED_CHECK = _checked_by_name(synth.PlantedTrait, trait_name="", kind="none",
 SYNTH_SPEC = {
     "n_speakers": (int, None, SPEC_CHECK), "utts_per_speaker": (int, None, SPEC_CHECK),
     "dim": (int, None, SPEC_CHECK), "noise_sigma": (float, None, SPEC_CHECK), "seed": (int,),
-    "spoof_fraction": (float, None, SPEC_CHECK), "attack_ids": [(str, ...), None],
+    "spoof_fraction": (float, None, SPEC_CHECK), "attack_ids": [(str, ...), None, SPEC_CHECK],
     "planted": [{"trait": (str,), "kind": (str, None, PLANTED_CHECK),
                  "strength": (float, 1.0, PLANTED_CHECK)}, None]}
 # Every config key. A value's spec is (kind, default, check): kind is int, float,
@@ -110,8 +110,9 @@ SYNTH_SPEC = {
 # check of its range, takes the value by its key's name; null reads as the
 # default, or is an error if that is ... . {key: spec} is a section (Optional:
 # may be absent), {str: spec} or {float: spec} a mapping from names or rates,
-# and [item spec, default] a list. resolve_config merges the defaults of the top
-# level and its plain sections into the config (report.json echoes it).
+# and [item spec, default] or [item spec, default, check] a list. resolve_config
+# merges the defaults of the top level and its plain sections into the config
+# (report.json echoes it).
 SCHEMA = {
     "seed": (int, 0), "outdir": (str, "out"), "manifest": (str, "manifest.csv"),
     "embeddings": {str: (str, ...)}, "traits_csv": (str, "traits.csv"),
@@ -124,9 +125,10 @@ SCHEMA = {
     "metrics": {"n_boot": (int, 1000, check_resampling), "alpha": (float, 0.05, check_resampling),
                 "n_perm": (int, 999, check_resampling)},
     "tasks": [{"trait": (str,), "kind": (str,), "scheme": (str,)}, []],
-    "distance": Optional({"system": (str,), "features_dir": (str,), "bins": (int, 50),
+    "distance": Optional({"system": (str,), "features_dir": (str,),
+                          "bins": (int, 50, check_bins),
                           "kinds": [(("embedding", "encoder_spectral"), ...), ["embedding"]],
-                          "chunk_seconds": (float, 4.0)}),
+                          "chunk_seconds": (float, 4.0, check_chunk_seconds)}),
     "perturb": Optional({"rates": (RATES, DEFAULT_RATES, check_rate),
                          "audio_outdir": (str, "perturbed")}),
     "sweep": Optional({"rates": (RATES, DEFAULT_RATES, check_rate),
@@ -195,7 +197,10 @@ def _typed(spec, value, path: str):
             return spec[1]
         if not isinstance(value, list | tuple):
             raise ValueError(f"config key {path!r} must be a list")
-        return tuple(_typed(spec[0], item, f"{path}[{i}]") for i, item in enumerate(value))
+        items = tuple(_typed(spec[0], item, f"{path}[{i}]") for i, item in enumerate(value))
+        if len(spec) > 2:
+            _checked(path, spec[2], **{path.rpartition(".")[2]: items})
+        return items
     mapping = str in spec or float in spec
     if (value is None and mapping) or (isinstance(spec, Optional) and value in (None, {})):
         return _default(spec)
@@ -537,7 +542,7 @@ def cmd_distance(resolved: dict, cfg: dict) -> list[dict]:
             if system not in cfg["embeddings"]:
                 raise ValueError(f"distance system {system!r} has no embeddings path")
             table = load_embeddings(_resolve_path(cfg, cfg["embeddings"][system]))
-            load = table.entries
+            load = table.row
         else:
             features_dir = dcfg["features_dir"]
 

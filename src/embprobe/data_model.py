@@ -71,9 +71,6 @@ class Manifest:
     def bonafide(self) -> tuple[ManifestRow, ...]:
         return tuple(row for row in self.rows if row.is_bonafide)
 
-    def speakers(self) -> tuple[str, ...]:
-        return tuple(sorted({row.speaker_id for row in self.rows}))
-
 
 def _parse_bool(text: str, where: str) -> bool:
     t = text.strip().lower()
@@ -189,35 +186,50 @@ def write_manifest(manifest: Manifest, path, fmt: str | None = None) -> None:
 
 @dataclass
 class EmbeddingTable:
-    """Fixed-dimension real vectors keyed by utterance id."""
+    """Fixed-dimension real vectors, one row of `matrix` (float64, n x dim)
+    per utterance id in `ids`; `index` maps each id to its row."""
 
-    dim: int
-    entries: dict[str, np.ndarray]
+    ids: tuple[str, ...]
+    matrix: np.ndarray
 
     def __post_init__(self):
-        if not self.entries:
+        self.ids = ids = tuple(self.ids)
+        self.matrix = matrix = np.ascontiguousarray(self.matrix, dtype=np.float64)
+        if not ids:
             raise ValueError("empty table")
-        if self.dim < 1:
+        if matrix.ndim != 2 or matrix.shape[0] != len(ids):
+            raise ValueError(f"matrix has shape {matrix.shape}, expected ({len(ids)}, dim)")
+        if matrix.shape[1] < 1:
             raise ValueError("dim must be positive")
-        for utt, vec in self.entries.items():
-            arr = np.asarray(vec, dtype=np.float64)
-            if arr.ndim != 1 or arr.shape[0] != self.dim:
-                raise ValueError(f"{utt}: dim mismatch (expected {self.dim}, got shape {arr.shape})")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{utt}: non-finite component")
-            self.entries[utt] = arr
+        self.index = {}
+        for i, utt in enumerate(ids):
+            if self.index.setdefault(utt, i) != i:
+                raise ValueError(f"duplicate utt_id {utt!r}")
+        finite = np.isfinite(matrix).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"{ids[int(np.argmin(finite))]}: non-finite component")
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.ids)
+
+    def row(self, utt: str) -> np.ndarray | None:
+        """The vector of `utt` (a view of its matrix row), or None."""
+        i = self.index.get(utt)
+        return None if i is None else self.matrix[i]
 
 
-def _read_emb_binary(path: Path) -> EmbeddingTable:
+def _read_emb_binary(path: Path) -> tuple[list[str], np.ndarray]:
     data = path.read_bytes()
     if len(data) < 12 or data[:4] != EMB_MAGIC:
         raise ValueError(f"{path}: bad magic (not an EMB1 file)")
     dim, count = struct.unpack_from("<II", data, 4)
     pos = 12
-    entries: dict[str, np.ndarray] = {}
+    ids: list[str] = []
+    vectors: list[bytes] = []
     for _ in range(count):
         if pos + 2 > len(data):
             raise ValueError(f"{path}: truncated file")
@@ -226,57 +238,53 @@ def _read_emb_binary(path: Path) -> EmbeddingTable:
         if pos + nlen + 4 * dim > len(data):
             raise ValueError(f"{path}: truncated file")
         try:
-            utt = data[pos:pos + nlen].decode("utf-8")
+            ids.append(data[pos:pos + nlen].decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: utt_id at byte {pos} is not UTF-8 ({exc.reason})") from None
         pos += nlen
-        vec = np.frombuffer(data, dtype="<f4", count=dim, offset=pos).astype(np.float64)
+        vectors.append(data[pos:pos + 4 * dim])
         pos += 4 * dim
-        if utt in entries:
-            raise ValueError(f"{path}: duplicate utt_id {utt!r}")
-        entries[utt] = vec
     if pos != len(data):
         raise ValueError(f"{path}: trailing bytes after {count} records")
-    return EmbeddingTable(dim=int(dim), entries=entries)
+    return ids, np.frombuffer(b"".join(vectors), dtype="<f4").reshape(count, dim)
 
 
-def _read_emb_csv(path: Path) -> EmbeddingTable:
-    entries: dict[str, np.ndarray] = {}
+def _read_emb_csv(path: Path) -> tuple[list[str], np.ndarray]:
+    ids: list[str] = []
+    rows: list[list[float]] = []
     dim = None
     reader = csv.reader(io.StringIO(read_utf8_text(path), newline=""))
     for lineno, rec in enumerate(reader, start=1):
         if not rec:
             continue
-        if lineno == 1 and rec[0] == "utt_id":
-            dim = len(rec) - 1
-            continue
-        where = f"{path}: line {lineno}"
         if dim is None:
             dim = len(rec) - 1
+        if lineno == 1 and rec[0] == "utt_id":
+            continue
+        where = f"{path}: line {lineno}"
         if len(rec) - 1 != dim:
             raise ValueError(f"{where}: dim mismatch across rows")
         try:
-            vec = np.array([float(v) for v in rec[1:]], dtype=np.float64)
+            rows.append([float(v) for v in rec[1:]])
         except ValueError:
             raise ValueError(f"{where}: bad float value") from None
-        if rec[0] in entries:
-            raise ValueError(f"{where}: duplicate utt_id {rec[0]!r}")
-        entries[rec[0]] = vec
-    if not entries:
-        raise ValueError(f"{path}: empty table")
-    return EmbeddingTable(dim=int(dim), entries=entries)
+        ids.append(rec[0])
+    return ids, np.array(rows, dtype=np.float64)
 
 
 def load_embeddings(path, fmt: str | None = None) -> EmbeddingTable:
-    """Load an embedding table ("binary" EMB1 or "csv")."""
+    """Load an embedding table ("binary" EMB1 or "csv"); any fault in the
+    file raises ValueError naming `path`."""
     path = Path(path)
     if fmt is None:
         fmt = "csv" if path.suffix == ".csv" else "binary"
-    if fmt == "binary":
-        return _read_emb_binary(path)
-    if fmt == "csv":
-        return _read_emb_csv(path)
-    raise ValueError(f"unknown embedding format {fmt!r}")
+    if fmt not in ("binary", "csv"):
+        raise ValueError(f"unknown embedding format {fmt!r}")
+    ids, matrix = (_read_emb_binary if fmt == "binary" else _read_emb_csv)(path)
+    try:
+        return EmbeddingTable(ids=tuple(ids), matrix=matrix)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_embeddings(table: EmbeddingTable, path, fmt: str | None = None) -> None:
@@ -286,16 +294,17 @@ def write_embeddings(table: EmbeddingTable, path, fmt: str | None = None) -> Non
     if fmt == "binary":
         buf = bytearray()
         buf += EMB_MAGIC
-        buf += struct.pack("<II", table.dim, len(table.entries))
-        for utt, vec in table.entries.items():
+        buf += struct.pack("<II", table.dim, len(table))
+        for utt, vec in zip(table.ids, table.matrix.astype("<f4")):
             raw = utt.encode("utf-8")
-            buf += struct.pack("<H", len(raw)) + raw
-            buf += np.ascontiguousarray(vec, dtype="<f4").tobytes()
+            buf += struct.pack("<H", len(raw)) + raw + vec.tobytes()
         atomic_write_bytes(path, bytes(buf))
     elif fmt == "csv":
         lines = ["utt_id," + ",".join(f"v{i}" for i in range(table.dim))]
-        for utt, vec in table.entries.items():
-            lines.append(utt + "," + ",".join(repr(float(v)) for v in vec))
+        for utt, vec in zip(table.ids, table.matrix.tolist()):
+            if any(c in utt for c in ',"\r\n'):  # quoted the way csv.reader reads it back
+                utt = '"' + utt.replace('"', '""') + '"'
+            lines.append(utt + "," + ",".join(map(repr, vec)))
         atomic_write_text(path, "\n".join(lines) + "\n")
     else:
         raise ValueError(f"unknown embedding format {fmt!r}")
@@ -498,21 +507,22 @@ def assemble(manifest: Manifest, table: EmbeddingTable, task: TraitTask,
         raise ValueError(f"split must be 'train' or 'eval', got {split!r}")
     rows = manifest.row_map()
     utt_ids = list(utt_ids)
-    X = np.empty((len(utt_ids), table.dim), dtype=np.float64)
+    positions: list[int] = []
+    norms: list[float] = []
     targets: list = []
-    for i, utt in enumerate(utt_ids):
+    for utt in utt_ids:
         row = rows.get(utt)
         if row is None:
             raise ValueError(f"utt_id {utt!r} not present in manifest")
-        vec = table.entries.get(utt)
-        if vec is None:
+        i = table.index.get(utt)
+        if i is None:
             raise ValueError(f"missing embedding for utt_id {utt!r}")
+        positions.append(i)
         if unit_norm:
-            norm = np.linalg.norm(vec)
+            norm = np.linalg.norm(table.matrix[i])
             if norm == 0.0:
                 raise ValueError(f"{utt}: zero embedding cannot be unit-normalized")
-            vec = vec / norm
-        X[i] = vec
+            norms.append(norm)
         if task.kind == "classification":
             label = trait_label(row, task.name)
             if label is None:
@@ -523,6 +533,9 @@ def assemble(manifest: Manifest, table: EmbeddingTable, task: TraitTask,
             if value is None:
                 raise ValueError(f"missing regression value for utt_id {utt!r}")
             targets.append(float(value))
+    X = table.matrix[positions]
+    if unit_norm:
+        X /= np.asarray(norms)[:, None]  # the same division by each row's norm as row / norm
     dtype = np.int64 if task.kind == "classification" else np.float64
     return ProbingDataset(utt_ids=tuple(utt_ids), X=X,
                           y=np.asarray(targets, dtype=dtype),

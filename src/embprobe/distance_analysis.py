@@ -160,9 +160,16 @@ def bonafide_spoof_pairing(manifest: Manifest, reprs, kind: str, source=None,
     return records, skipped
 
 
+def check_bins(bins: int) -> None:
+    """Raise ValueError unless a histogram bin count is at least 1."""
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
+
+
 def histogram_overlap(a, b, bins: int = 50) -> float:
     """Overlap coefficient sum(min(h_a, h_b)) of normalized histograms over
     the shared value range."""
+    check_bins(bins)
     a = np.asarray(a, dtype=np.float64).reshape(-1)
     b = np.asarray(b, dtype=np.float64).reshape(-1)
     if a.size == 0 or b.size == 0:

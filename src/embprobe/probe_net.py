@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import EmbeddingTable
 from .fileio import atomic_write_bytes
 from .rng import make_rng
 
@@ -43,68 +42,44 @@ def _split_params(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[
     return out
 
 
+def _param(name: str) -> property:
+    return property(lambda probe: probe.views(probe.theta)[name],
+                    doc=f"{name}: a view of `theta`, derived on each read.")
+
+
 @dataclass
 class MLPProbe:
     """A probe whose six parameters live in one vector, `theta`, in
-    PARAM_NAMES order; `W1`...`b3` are views into it. `theta` takes the
-    floating dtype of the parameters given (float64 for integer ones).
-    Assigning a parameter copies into its view, and copies and pickles
-    rebuild the views, so `theta` always holds the current values."""
+    PARAM_NAMES order. `W1`...`b3` are read-only attributes: views of
+    `theta` shaped as each parameter. `theta` keeps its floating dtype
+    (integer values become float64) and is copied, so the probe owns it."""
     input_dim: int
     hidden_dim: int
     output_dim: int
     task_kind: str
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-    W3: np.ndarray
-    b3: np.ndarray
+    theta: np.ndarray
     classes: tuple[str, ...] | None = None
     # z-score stats of the regression target, captured during training
     target_mean: float = 0.0
     target_std: float = 1.0
-    theta: np.ndarray = field(init=False, repr=False)
+
+    W1, b1, W2, b2, W3, b3 = map(_param, PARAM_NAMES)
 
     def __post_init__(self):
-        shapes = _param_shapes(self.input_dim, self.hidden_dim, self.output_dim)
-        given = {name: np.asarray(getattr(self, name)) for name in PARAM_NAMES}
-        for name, shape in shapes.items():
-            if given[name].shape != shape:
-                raise ValueError(f"{name} has shape {given[name].shape}, expected {shape}")
-        dtype = np.result_type(*given.values())
-        if not np.issubdtype(dtype, np.floating):
-            dtype = np.float64
-        theta = np.concatenate([given[name].reshape(-1) for name in PARAM_NAMES],
-                               dtype=dtype)
-        vars(self).update(_split_params(theta, shapes), theta=theta)
+        theta = np.asarray(self.theta)
+        count = sum(math.prod(shape) for shape in self._shapes().values())
+        if theta.shape != (count,):
+            raise ValueError(f"theta has shape {theta.shape}, expected ({count},)")
+        dtype = theta.dtype if np.issubdtype(theta.dtype, np.floating) else np.float64
+        self.theta = theta.astype(dtype)
 
-    def __setattr__(self, name, value):
-        if name in PARAM_NAMES and "theta" in vars(self):
-            view = getattr(self, name)
-            value = np.asarray(value)
-            if value.shape != view.shape:
-                raise ValueError(f"{name} has shape {value.shape}, expected {view.shape}")
-            view[...] = value
-        else:
-            object.__setattr__(self, name, value)
-
-    def __getstate__(self):
-        # copy and pickle would turn the views into arrays of their own
-        return {k: v for k, v in vars(self).items() if k not in PARAM_NAMES}
-
-    def __setstate__(self, state):
-        vars(self).update(state)
-        vars(self).update(self.views(self.theta))
+    def _shapes(self) -> dict[str, tuple[int, ...]]:
+        return _param_shapes(self.input_dim, self.hidden_dim, self.output_dim)
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Parameter name -> the view of `flat` (laid out like `theta`)
         shaped as that parameter."""
-        return _split_params(flat, _param_shapes(self.input_dim, self.hidden_dim,
-                                                 self.output_dim))
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in PARAM_NAMES}
+        return _split_params(flat, self._shapes())
 
 
 def check_dims(**dims: int) -> None:
@@ -129,21 +104,22 @@ def init_probe(input_dim: int, hidden_dim: int, output_dim: int,
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-limit, limit, size=(fan_out, fan_in)).astype(dtype)
 
-    return MLPProbe(
-        input_dim=input_dim, hidden_dim=hidden_dim, output_dim=output_dim,
-        task_kind=task_kind,
-        W1=uniform(hidden_dim, input_dim), b1=np.zeros(hidden_dim, dtype),
-        W2=uniform(hidden_dim, hidden_dim), b2=np.zeros(hidden_dim, dtype),
-        W3=uniform(output_dim, hidden_dim), b3=np.zeros(output_dim, dtype),
-    )
+    # drawn in PARAM_NAMES order: W1, W2, W3
+    theta = np.concatenate([
+        uniform(hidden_dim, input_dim).reshape(-1), np.zeros(hidden_dim, dtype),
+        uniform(hidden_dim, hidden_dim).reshape(-1), np.zeros(hidden_dim, dtype),
+        uniform(output_dim, hidden_dim).reshape(-1), np.zeros(output_dim, dtype)])
+    return MLPProbe(input_dim=input_dim, hidden_dim=hidden_dim, output_dim=output_dim,
+                    task_kind=task_kind, theta=theta)
 
 
-def _affine_stack(probe: MLPProbe, X: np.ndarray):
-    z1 = X @ probe.W1.T + probe.b1
+def _affine_stack(p: dict[str, np.ndarray], X: np.ndarray):
+    """The layers on `X` with parameters `p` (views of a probe's theta)."""
+    z1 = X @ p["W1"].T + p["b1"]
     h1 = np.maximum(z1, 0.0)
-    z2 = h1 @ probe.W2.T + probe.b2
+    z2 = h1 @ p["W2"].T + p["b2"]
     h2 = np.maximum(z2, 0.0)
-    out = h2 @ probe.W3.T + probe.b3
+    out = h2 @ p["W3"].T + p["b3"]
     return z1, h1, z2, h2, out
 
 
@@ -158,7 +134,7 @@ def _as_batch(probe: MLPProbe, X) -> np.ndarray:
 
 def forward(probe: MLPProbe, X) -> np.ndarray:
     """Logits (classification) or raw scalar outputs (regression), one row per input."""
-    return _affine_stack(probe, _as_batch(probe, X))[-1]
+    return _affine_stack(probe.views(probe.theta), _as_batch(probe, X))[-1]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -200,15 +176,12 @@ def mse(pred, target) -> float:
     return float(np.mean((p - t) ** 2))
 
 
-class Gradients(dict):
-    """Parameter name -> gradient array; `loss` is the mean batch loss they
-    differentiate, from the same forward pass. The arrays are views into one
-    vector, `flat`, laid out like the probe's `theta`."""
-
-    def __init__(self, flat: np.ndarray, grads: dict[str, np.ndarray], loss: float):
-        super().__init__(grads)
-        self.flat = flat
-        self.loss = loss
+@dataclass(frozen=True)
+class Gradients:
+    """`flat`, the gradient of the mean batch loss laid out like the probe's
+    `theta`, and `loss`, that loss, from the same forward pass."""
+    flat: np.ndarray
+    loss: float
 
 
 def backward(probe: MLPProbe, X, targets) -> Gradients:
@@ -216,7 +189,8 @@ def backward(probe: MLPProbe, X, targets) -> Gradients:
     that loss (cross-entropy or MSE), from one pass through the layers."""
     X = _as_batch(probe, X)
     n = X.shape[0]
-    z1, h1, z2, h2, out = _affine_stack(probe, X)
+    p = probe.views(probe.theta)
+    z1, h1, z2, h2, out = _affine_stack(p, X)
     if probe.task_kind == "classification":
         loss = cross_entropy(out, targets)
         t = np.asarray(targets, dtype=np.int64).reshape(-1)
@@ -231,15 +205,15 @@ def backward(probe: MLPProbe, X, targets) -> Gradients:
     g = probe.views(flat)
     np.matmul(dout.T, h2, out=g["W3"])
     np.sum(dout, axis=0, out=g["b3"])
-    dh2 = dout @ probe.W3
+    dh2 = dout @ p["W3"]
     dz2 = dh2 * (z2 > 0.0)
     np.matmul(dz2.T, h1, out=g["W2"])
     np.sum(dz2, axis=0, out=g["b2"])
-    dh1 = dz2 @ probe.W2
+    dh1 = dz2 @ p["W2"]
     dz1 = dh1 * (z1 > 0.0)
     np.matmul(dz1.T, X, out=g["W1"])
     np.sum(dz1, axis=0, out=g["b1"])
-    return Gradients(flat, g, loss)
+    return Gradients(flat, loss)
 
 
 @dataclass
@@ -266,25 +240,17 @@ class AdamState:
 
 
 def adam_step(probe: MLPProbe, state: AdamState,
-              grads: dict[str, np.ndarray]) -> tuple[MLPProbe, AdamState]:
-    """One bias-corrected Adam update of the whole of `probe.theta`, in place.
-
-    `grads` is a `Gradients` from `backward` or any name -> array mapping; a
-    mapping is first packed into a scratch vector. The ops and their order
-    per element are those of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g^2,
+              grads: Gradients) -> tuple[MLPProbe, AdamState]:
+    """One bias-corrected Adam update of the whole of `probe.theta`, in place,
+    from `grads.flat`. The ops and their order per element are those of
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g^2,
     p -= lr*(m/b1c) / (sqrt(v/b2c) + eps), so results are bit-identical to
     the update done one parameter at a time."""
-    theta, m, v = probe.theta, state.m, state.v
+    theta, m, v, g = probe.theta, state.m, state.v, grads.flat
     if m.shape != theta.shape or m.dtype != theta.dtype:
         raise ValueError(f"Adam state holds {m.size} {m.dtype} values for "
                          f"{theta.size} {theta.dtype} parameters")
     a, b = state.scratch
-    if isinstance(grads, Gradients):
-        g = grads.flat
-    else:
-        g = a
-        for name, view in probe.views(a).items():
-            view[...] = grads[name]
     state.t += 1
     b1c = 1.0 - state.beta1 ** state.t
     b2c = 1.0 - state.beta2 ** state.t
@@ -295,7 +261,6 @@ def adam_step(probe: MLPProbe, state: AdamState,
     np.square(g, out=b)
     b *= 1.0 - state.beta2
     v += b
-    # g is dead from here on, so `a` may be reused even when it holds g
     np.divide(m, b1c, out=a)
     a *= state.lr
     np.divide(v, b2c, out=b)
@@ -381,18 +346,10 @@ def train(probe: MLPProbe, dataset, cfg: TrainConfig) -> tuple[MLPProbe, TrainHi
     return probe, TrainHistory(losses=losses, lrs=lrs)
 
 
-def predict(probe: MLPProbe, data):
+def predict(probe: MLPProbe, X) -> np.ndarray:
     """Class indices (argmax, ties to the lowest index) or de-normalized
-    scalars in the probe's dtype.
-
-    Accepts a batch array, or an EmbeddingTable (returns utt_id -> prediction).
-    """
-    if isinstance(data, EmbeddingTable):
-        utts = list(data.entries)
-        batch = np.stack([data.entries[u] for u in utts])
-        preds = predict(probe, batch)
-        return dict(zip(utts, preds.tolist()))
-    out = forward(probe, data)
+    scalars in the probe's dtype, one per row of `X`."""
+    out = forward(probe, X)
     if probe.task_kind == "classification":
         return np.argmax(out, axis=1)
     return out.reshape(-1) * probe.target_std + probe.target_mean
@@ -462,14 +419,13 @@ def _parse_probe(data: bytes, path) -> MLPProbe:
         raise ValueError(f"{path}: truncated parameter block")
     if pos + 4 * count != len(data):
         raise ValueError(f"{path}: trailing bytes")
-    # read-only views of `data`; MLPProbe packs them into a float32 theta of its own
+    # a read-only view of `data`; MLPProbe copies it into a float32 theta of its own
     theta = np.frombuffer(data, dtype="<f4", count=count, offset=pos)
-    params = _split_params(theta, shapes)
-    for name, value in params.items():
+    for name, value in _split_params(theta, shapes).items():
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{path}: non-finite parameter in {name}")
     return MLPProbe(
         input_dim=input_dim, hidden_dim=hidden_dim, output_dim=output_dim,
-        task_kind=kind, classes=tuple(classes) or None,
-        target_mean=target_mean, target_std=target_std, **params,
+        task_kind=kind, theta=theta, classes=tuple(classes) or None,
+        target_mean=target_mean, target_std=target_std,
     )

@@ -51,6 +51,8 @@ class SynthSpec:
             raise ValueError("spoof_fraction must lie in [0, 1]")
         if self.noise_sigma < 0.0:
             raise ValueError("noise_sigma must be non-negative")
+        if not self.attack_ids:
+            raise ValueError("attack_ids must not be empty")
 
 
 def build_manifest(spec: SynthSpec) -> Manifest:
@@ -120,8 +122,7 @@ def gen_table(spec: SynthSpec, manifest: Manifest) -> EmbeddingTable:
             direction = trait_direction(spec, planted.trait_name)
             values = planted_values(spec, planted.trait_name)
             emb += planted.strength * values[:, None] * direction[None, :]
-    entries = {row.utt_id: emb[i] for i, row in enumerate(manifest.rows)}
-    return EmbeddingTable(dim=spec.dim, entries=entries)
+    return EmbeddingTable(ids=tuple(row.utt_id for row in manifest.rows), matrix=emb)
 
 
 def gen_dataset(spec: SynthSpec) -> tuple[Manifest, EmbeddingTable]:
@@ -141,11 +142,8 @@ def gen_regression_target(spec: SynthSpec, trait_name: str,
         raise ValueError("planted strength must be positive for regression targets")
     direction = trait_direction(spec, trait_name)
     rng = make_rng(spec.seed, "synth-target-noise", trait_name)
-    out: dict[str, float] = {}
-    for utt, vec in table.entries.items():
-        out[utt] = float(vec @ direction / planted.strength
-                         + rng.normal(0.0, spec.noise_sigma))
-    return out
+    return {utt: float(vec @ direction / planted.strength + rng.normal(0.0, spec.noise_sigma))
+            for utt, vec in zip(table.ids, table.matrix)}
 
 
 def gen_tone(freq: float, dur: float, sr: int = 16000,
@@ -189,7 +187,7 @@ def gen_gender_ablation_pair(n_speakers: int = 12, bonafide_per_speaker: int = 2
     rng = make_rng(seed, "gender-pair")
     rows = []
     encoder: dict[str, np.ndarray] = {}
-    entries: dict[str, np.ndarray] = {}
+    vectors: list[np.ndarray] = []
     for s in range(n_speakers):
         speaker = f"GAB{s:03d}"
         gender = "female" if s % 2 == 0 else "male"
@@ -204,7 +202,7 @@ def gen_gender_ablation_pair(n_speakers: int = 12, bonafide_per_speaker: int = 2
                                     is_bonafide=True))
             encoder[utt] = base_frames * math.exp(0.01 * rng.normal())
             vec = base_emb + 0.05 * rng.normal(0.0, 1.0, size=dim)
-            entries[utt] = vec / np.linalg.norm(vec)
+            vectors.append(vec / np.linalg.norm(vec))
         for u in range(spoof_per_speaker):
             utt = f"{speaker}_S{u:02d}"
             rows.append(ManifestRow(utt_id=utt, speaker_id=speaker, gender=gender,
@@ -213,5 +211,6 @@ def gen_gender_ablation_pair(n_speakers: int = 12, bonafide_per_speaker: int = 2
             encoder[utt] = base_frames * math.exp(tilt + 0.05 * rng.normal())
             gamma = 0.6 + 0.05 * rng.normal()
             vec = base_emb + gamma * rng.normal(0.0, 1.0, size=dim)
-            entries[utt] = vec / np.linalg.norm(vec)
-    return Manifest(rows=tuple(rows)), encoder, EmbeddingTable(dim=dim, entries=entries)
+            vectors.append(vec / np.linalg.norm(vec))
+    table = EmbeddingTable(ids=tuple(row.utt_id for row in rows), matrix=np.array(vectors))
+    return Manifest(rows=tuple(rows)), encoder, table

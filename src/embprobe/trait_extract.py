@@ -338,10 +338,15 @@ def power_spectrogram(w: Waveform, frame_len: float = 0.025, hop: float = 0.010,
     return SpectralFrames(frames=power, frame_shift=hopn / sr, frame_length=n / sr)
 
 
+def check_chunk_seconds(chunk_seconds: float) -> None:
+    """Raise ValueError unless a chunk length in seconds is positive."""
+    if chunk_seconds <= 0:
+        raise ValueError("seconds must be positive")
+
+
 def chunk_fixed(w: Waveform, seconds: float) -> Waveform:
     """Truncate to `seconds`, or tile the waveform cyclically if shorter."""
-    if seconds <= 0:
-        raise ValueError("seconds must be positive")
+    check_chunk_seconds(seconds)
     target = int(round(seconds * w.sample_rate))
     if target == len(w.samples):
         return w

@@ -64,13 +64,13 @@ def test_criterion_01_gradient_correctness():
             n = int(rng.integers(1, 5))
             probe = init_probe(d_in, d_h, d_out, kind, seed=int(rng.integers(0, 1 << 30)),
                                dtype=np.float64)
-            for param in probe.params().values():
+            for param in probe.views(probe.theta).values():
                 param += 0.1 * rng.normal(size=param.shape)  # keep rectifiers off exact kinks
             X = rng.normal(size=(n, d_in))
             y = (rng.integers(0, d_out, size=n) if kind == "classification"
                  else rng.normal(size=n))
-            analytic = backward(probe, X, y)
-            for name, param in probe.params().items():
+            analytic = probe.views(backward(probe, X, y).flat)
+            for name, param in probe.views(probe.theta).items():
                 flat = param.reshape(-1)
                 a_flat = analytic[name].reshape(-1)
                 for i in range(flat.size):
@@ -263,7 +263,7 @@ def test_criterion_08_gender_ablation_overlap():
     with criterion(8, "gender distributions converge at the embedding level"):
         manifest, encoder, table = gen_gender_ablation_pair(n_speakers=24, seed=8)
         rec_enc, _ = bonafide_spoof_pairing(manifest, encoder, "encoder_spectral")
-        rec_emb, _ = bonafide_spoof_pairing(manifest, dict(table.entries), "embedding")
+        rec_emb, _ = bonafide_spoof_pairing(manifest, table.row, "embedding")
         f_enc, _ = summarize_by_gender(rec_enc)
         f_emb, _ = summarize_by_gender(rec_emb)
         assert f_emb.overlap_with_peer > f_enc.overlap_with_peer, \
@@ -327,8 +327,8 @@ def test_criterion_09_pipeline_determinism(tmp_path):
 def test_criterion_10_format_roundtrips(tmp_path, rng):
     with criterion(10, "all file formats survive write-read-write byte-identically"):
         # EMB1
-        table = EmbeddingTable(dim=16, entries={f"U{i}": rng.normal(size=16)
-                                                for i in range(6)})
+        table = EmbeddingTable(ids=tuple(f"U{i}" for i in range(6)),
+                               matrix=rng.normal(size=(6, 16)))
         a, b = tmp_path / "a.emb", tmp_path / "b.emb"
         write_embeddings(table, a)
         write_embeddings(load_embeddings(a), b)

@@ -86,7 +86,7 @@ def test_synth_emits_loadable_corpus(pipeline):
     table = load_embeddings(outdir / "emb" / "cm.emb")
     assert len(manifest) == 192
     assert table.dim == 24
-    assert set(table.entries) == {r.utt_id for r in manifest.rows}
+    assert table.ids == tuple(r.utt_id for r in manifest.rows)
     assert all(r.audio_path for r in manifest.rows)
 
 
@@ -349,6 +349,9 @@ def test_validate_task_rules():
     ("distance", "kinds", "embedding"),
     ("partition", "schemes", "T02"),
     ("sweep", "score_files", {"one": "scores/scores_1.txt"}),
+    ("synth", "attack_ids", []),
+    ("distance", "bins", 0),
+    ("distance", "chunk_seconds", 0),
 ], ids=lambda v: str(v))
 def test_bad_config_value_fails_before_any_io(tmp_path, command, section, key, value):
     cfg = pipeline_config(tmp_path / "out")  # no manifest or other input exists
@@ -426,6 +429,9 @@ OUT_OF_RANGE = {
     "synth.planted[0].kind": st.text().filter(
         lambda k: k not in ("cluster", "linear_subspace", "none")),
     "synth.planted[0].strength": OUTSIDE_UNIT,
+    "synth.attack_ids": st.just([]),
+    "distance.bins": st.integers(max_value=0),
+    "distance.chunk_seconds": st.floats(max_value=0.0),
     "tasks[0]": st.just({"trait": "gender", "kind": "classification", "scheme": "T03"}),
 }
 
@@ -499,7 +505,7 @@ def test_synth_multiple_systems_with_overrides(tmp_path):
     cm = load_embeddings(outdir / "emb" / "cm.emb")
     assert asv.dim == 40
     assert cm.dim == 24
-    assert set(asv.entries) == set(cm.entries)
+    assert asv.ids == cm.ids
 
 
 def test_perturb_bad_rate_fails_before_any_audio(tmp_path):

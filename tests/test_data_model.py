@@ -1,5 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from embprobe.data_model import (EmbeddingTable, Manifest, PartitionScheme,
                                  TraitTask, assemble, build_label_space,
@@ -138,8 +144,7 @@ def test_trait_label_bonafide_class(mixed_manifest):
 # --- embedding tables ---
 
 def test_emb1_roundtrip_bytes(tmp_path, rng):
-    entries = {f"U{i}": rng.normal(size=192) for i in range(5)}
-    table = EmbeddingTable(dim=192, entries=entries)
+    table = EmbeddingTable(ids=tuple(f"U{i}" for i in range(5)), matrix=rng.normal(size=(5, 192)))
     p1 = tmp_path / "a.emb"
     p2 = tmp_path / "b.emb"
     write_embeddings(table, p1)
@@ -151,7 +156,7 @@ def test_emb1_roundtrip_bytes(tmp_path, rng):
 
 
 def test_emb1_truncated(tmp_path, rng):
-    table = EmbeddingTable(dim=8, entries={"U1": rng.normal(size=8)})
+    table = EmbeddingTable(ids=("U1",), matrix=rng.normal(size=(1, 8)))
     path = tmp_path / "a.emb"
     write_embeddings(table, path)
     path.write_bytes(path.read_bytes()[:-5])
@@ -175,11 +180,11 @@ def test_emb_csv_dim_mismatch(tmp_path):
 
 def test_empty_table_rejected():
     with pytest.raises(ValueError, match="empty table"):
-        EmbeddingTable(dim=4, entries={})
+        EmbeddingTable(ids=(), matrix=np.zeros((0, 4)))
 
 
 def test_emb_csv_roundtrip_bytes(tmp_path, rng):
-    table = EmbeddingTable(dim=3, entries={"U1": rng.normal(size=3), "U2": rng.normal(size=3)})
+    table = EmbeddingTable(ids=("U1", "U2"), matrix=rng.normal(size=(2, 3)))
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
     write_embeddings(table, p1)
@@ -193,7 +198,7 @@ def _bad_utf8(tmp_path, mixed_manifest, rng, name):
     if name.startswith("manifest"):
         write_manifest(mixed_manifest, path)
     else:
-        write_embeddings(EmbeddingTable(dim=3, entries={"U1": rng.normal(size=3)}), path)
+        write_embeddings(EmbeddingTable(ids=("U1",), matrix=rng.normal(size=(1, 3))), path)
     data = path.read_bytes()
     at = data.rindex(b"U1" if name.startswith("emb") else mixed_manifest.rows[-1].utt_id.encode())
     path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
@@ -306,8 +311,8 @@ def test_partition_splits_are_exhaustive(mixed_manifest):
 # --- assembly ---
 
 def _table_for(manifest, dim, rng):
-    return EmbeddingTable(dim=dim, entries={r.utt_id: rng.normal(size=dim)
-                                            for r in manifest.rows})
+    return EmbeddingTable(ids=tuple(r.utt_id for r in manifest.rows),
+                          matrix=rng.normal(size=(len(manifest.rows), dim)))
 
 
 def test_assemble_aligned(mixed_manifest, rng):
@@ -319,12 +324,13 @@ def test_assemble_aligned(mixed_manifest, rng):
     assert ds.X.shape == (len(ids), 16)
     assert set(np.unique(ds.y)) <= {0, 1}
     for i, utt in enumerate(ids):
-        assert np.array_equal(ds.X[i], table.entries[utt])
+        assert np.array_equal(ds.X[i], table.row(utt))
 
 
 def test_assemble_missing_embedding(mixed_manifest, rng):
     table = _table_for(mixed_manifest, 8, rng)
-    del table.entries["S000_B0"]
+    keep = [i for i, utt in enumerate(table.ids) if utt != "S000_B0"]
+    table = EmbeddingTable(ids=[table.ids[i] for i in keep], matrix=table.matrix[keep])
     task = TraitTask.classification(mixed_manifest, "gender")
     with pytest.raises(ValueError, match="S000_B0"):
         assemble(mixed_manifest, table, task, [r.utt_id for r in mixed_manifest.rows])
@@ -342,3 +348,153 @@ def test_assemble_unit_norm(mixed_manifest, rng):
     task = TraitTask.classification(mixed_manifest, "gender")
     ds = assemble(mixed_manifest, table, task, ["S000_B0"], "eval", unit_norm=True)
     assert np.isclose(np.linalg.norm(ds.X[0]), 1.0)
+
+
+# --- EMB1 and embedding-CSV readers under random tables and damage ---
+
+@st.composite
+def _tables(draw, fmt):
+    """Valid tables: unique ids of any text (non-ASCII, separators, quotes and
+    line breaks included), dims from 1 up, finite values EMB1 or CSV store."""
+    ids = draw(st.lists(st.text(max_size=8), min_size=1, max_size=5, unique=True))
+    dim = draw(st.integers(1, 6))
+    matrix = draw(hnp.arrays(np.float64, (len(ids), dim), elements=st.floats(
+        allow_nan=False, allow_infinity=False, width=32 if fmt == "emb" else 64)))
+    return ids, matrix
+
+
+@settings(max_examples=200, deadline=None)
+@given(fmt=st.sampled_from(["emb", "csv"]), data=st.data())
+def test_emb_write_read_write_is_byte_stable(fmt, data):
+    ids, matrix = data.draw(_tables(fmt))
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / f"a.{fmt}", Path(tmp) / f"b.{fmt}"
+        write_embeddings(EmbeddingTable(ids=tuple(ids), matrix=matrix), first)
+        loaded = load_embeddings(first)
+        write_embeddings(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+    assert loaded.ids == tuple(ids)
+    assert np.array_equal(loaded.matrix, matrix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fmt=st.sampled_from(["emb", "csv"]), data=st.data())
+def test_emb_truncation_or_byte_flip_loads_or_names_path(fmt, data):
+    ids, matrix = data.draw(_tables(fmt))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"mutated.{fmt}"
+        write_embeddings(EmbeddingTable(ids=tuple(ids), matrix=matrix), path)
+        blob = path.read_bytes()
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+            mask = data.draw(st.integers(1, 255), label="mask")
+            blob = blob[:at] + bytes([blob[at] ^ mask]) + blob[at + 1:]
+        path.write_bytes(blob)
+        try:
+            table = load_embeddings(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+        else:
+            assert table.matrix.dtype == np.float64
+            assert table.matrix.shape == (len(table.ids), table.dim)
+            assert np.all(np.isfinite(table.matrix))
+
+
+# --- assemble against the dict-based version it replaced ---
+
+def _reference_assemble(manifest, entries, dim, task, utt_ids, split="train",
+                        unit_norm=False):
+    """assemble as it was when a table was a dim and a utt_id -> vector dict."""
+    if split not in ("train", "eval"):
+        raise ValueError(f"split must be 'train' or 'eval', got {split!r}")
+    rows = manifest.row_map()
+    utt_ids = list(utt_ids)
+    X = np.empty((len(utt_ids), dim), dtype=np.float64)
+    targets = []
+    for i, utt in enumerate(utt_ids):
+        row = rows.get(utt)
+        if row is None:
+            raise ValueError(f"utt_id {utt!r} not present in manifest")
+        vec = entries.get(utt)
+        if vec is None:
+            raise ValueError(f"missing embedding for utt_id {utt!r}")
+        if unit_norm:
+            norm = np.linalg.norm(vec)
+            if norm == 0.0:
+                raise ValueError(f"{utt}: zero embedding cannot be unit-normalized")
+            vec = vec / norm
+        X[i] = vec
+        if task.kind == "classification":
+            label = trait_label(row, task.name)
+            if label is None:
+                raise ValueError(f"{utt}: no label for trait {task.name!r}")
+            targets.append(task.label_space.index_of(label))
+        else:
+            value = task.values.get(utt)
+            if value is None:
+                raise ValueError(f"missing regression value for utt_id {utt!r}")
+            targets.append(float(value))
+    dtype = np.int64 if task.kind == "classification" else np.float64
+    return X, np.asarray(targets, dtype=dtype)
+
+
+def _both_assembles(manifest, table, task, utt_ids, unit_norm):
+    entries = {utt: vec.copy() for utt, vec in zip(table.ids, table.matrix)}
+    expected = _reference_assemble(manifest, entries, table.dim, task, utt_ids, "train",
+                                   unit_norm)
+    return assemble(manifest, table, task, utt_ids, "train", unit_norm), expected
+
+
+@pytest.mark.parametrize("unit_norm", [False, True])
+@pytest.mark.parametrize("kind", ["classification", "regression"])
+def test_assemble_matches_dict_reference(kind, unit_norm, mixed_manifest, rng):
+    table = _table_for(mixed_manifest, 192, rng)
+    ids = [r.utt_id for r in mixed_manifest.rows][::-1]  # not the table's row order
+    if kind == "classification":
+        task = TraitTask.classification(mixed_manifest, "attack_id")
+    else:
+        task = TraitTask.regression("f0_mean", {utt: float(v) for utt, v
+                                                in zip(ids, rng.normal(150.0, 20.0, len(ids)))})
+    ds, (X, y) = _both_assembles(mixed_manifest, table, task, ids, unit_norm)
+    assert ds.X.dtype == X.dtype and ds.y.dtype == y.dtype
+    assert np.array_equal(ds.X, X) and np.array_equal(ds.y, y)  # bit for bit
+
+
+def test_assemble_errors_match_dict_reference(mixed_manifest, rng):
+    ids = [r.utt_id for r in mixed_manifest.rows]
+    table = _table_for(mixed_manifest, 192, rng)
+    gender = TraitTask.classification(mixed_manifest, "gender")
+    missing = EmbeddingTable(ids=table.ids[:3] + table.ids[4:],
+                             matrix=np.delete(table.matrix, 3, axis=0))
+    zero = EmbeddingTable(ids=table.ids, matrix=table.matrix.copy())
+    zero.matrix[5] = 0.0
+    some_values = TraitTask.regression("f0_mean", {utt: 1.0 for utt in ids[:7]})
+    for tab, task, unit_norm, message in [
+            (missing, gender, False, "missing embedding for utt_id"),
+            (zero, gender, True, "zero embedding cannot be unit-normalized"),
+            (table, some_values, False, "missing regression value for utt_id")]:
+        with pytest.raises(ValueError, match=message) as new:
+            assemble(mixed_manifest, tab, task, ids, "train", unit_norm)
+        entries = {utt: vec.copy() for utt, vec in zip(tab.ids, tab.matrix)}
+        with pytest.raises(ValueError) as old:
+            _reference_assemble(mixed_manifest, entries, tab.dim, task, ids, "train", unit_norm)
+        assert str(new.value) == str(old.value)
+
+
+def test_table_checks_name_the_first_bad_id():
+    with pytest.raises(ValueError, match="duplicate utt_id 'B'"):
+        EmbeddingTable(ids=("A", "B", "C", "B"), matrix=np.zeros((4, 2)))
+    bad = np.ones((3, 2))
+    bad[1, 1] = np.nan
+    bad[2, 0] = np.inf
+    with pytest.raises(ValueError, match="^B: non-finite component$"):
+        EmbeddingTable(ids=("A", "B", "C"), matrix=bad)
+    with pytest.raises(ValueError, match=r"matrix has shape \(2, 2\), expected \(3, dim\)"):
+        EmbeddingTable(ids=("A", "B", "C"), matrix=np.ones((2, 2)))
+    with pytest.raises(ValueError, match="dim must be positive"):
+        EmbeddingTable(ids=("A",), matrix=np.ones((1, 0)))
+    table = EmbeddingTable(ids=["A", "B"], matrix=[[1, 2], [3, 4]])
+    assert table.ids == ("A", "B") and table.dim == 2 and table.matrix.dtype == np.float64
+    assert table.row("B").tolist() == [3.0, 4.0] and table.row("Z") is None

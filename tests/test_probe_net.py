@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embprobe.data_model import ProbingDataset
-from embprobe.probe_net import (AdamState, MLPProbe, TrainConfig, adam_step,
-                                backward, cross_entropy, forward, init_probe,
-                                load_probe, mse, predict, save_probe, train)
+from embprobe.probe_net import (PARAM_NAMES, AdamState, Gradients, MLPProbe,
+                                TrainConfig, adam_step, backward, cross_entropy,
+                                forward, init_probe, load_probe, mse, predict,
+                                save_probe, train)
 from embprobe.rng import make_rng
 
 
@@ -142,7 +143,7 @@ def loss_of(probe, X, y):
 def fd_gradients(probe, X, y, step=1e-5):
     """Central finite differences on every parameter coordinate."""
     grads = {}
-    for name, param in probe.params().items():
+    for name, param in probe.views(probe.theta).items():
         g = np.zeros_like(param)
         flat = param.reshape(-1)
         gflat = g.reshape(-1)
@@ -177,19 +178,19 @@ def test_backward_matches_finite_differences(kind):
         n = int(rng.integers(1, 5))
         probe = init_probe(d_in, d_h, d_out, kind, seed=int(rng.integers(0, 1 << 30)),
                            dtype=np.float64)
-        for param in probe.params().values():
+        for param in probe.views(probe.theta).values():
             param += 0.1 * rng.normal(size=param.shape)  # keep rectifiers off exact kinks
         X = rng.normal(size=(n, d_in))
         if kind == "classification":
             y = rng.integers(0, d_out, size=n)
         else:
             y = rng.normal(size=n)
-        assert_grads_close(backward(probe, X, y), fd_gradients(probe, X, y))
+        assert_grads_close(probe.views(backward(probe, X, y).flat), fd_gradients(probe, X, y))
 
 
 def test_backward_zero_input_zero_w1_grad():
     probe = init_probe(5, 4, 1, "regression", seed=9)
-    grads = backward(probe, np.zeros((3, 5)), np.zeros(3))
+    grads = probe.views(backward(probe, np.zeros((3, 5)), np.zeros(3)).flat)
     assert np.array_equal(grads["W1"], np.zeros_like(probe.W1))
 
 
@@ -199,8 +200,8 @@ def test_backward_mse_gradient_linear_in_residual(rng):
     out = forward(probe, X).reshape(-1)
     y1 = out - 1.0       # residual 1
     y2 = out - 2.0       # residual 2: doubles every output-layer gradient
-    g1 = backward(probe, X, y1)
-    g2 = backward(probe, X, y2)
+    g1 = probe.views(backward(probe, X, y1).flat)
+    g2 = probe.views(backward(probe, X, y2).flat)
     assert np.allclose(g2["W3"], 2.0 * g1["W3"])
     assert np.allclose(g2["b3"], 2.0 * g1["b3"])
 
@@ -227,8 +228,7 @@ def _unit_probe():
 def test_adam_first_step_hand_value():
     probe = _unit_probe()
     state = AdamState.for_probe(probe, lr=0.001)
-    ones = {name: np.ones_like(param) for name, param in probe.params().items()}
-    adam_step(probe, state, ones)
+    adam_step(probe, state, Gradients(np.ones_like(probe.theta), 0.0))
     # m_hat = 1, v_hat = 1 -> theta = -lr / (1 + eps)
     expected = -0.001 / (1.0 + 1e-8)
     assert abs(probe.W1[0, 0] - expected) < 1e-15
@@ -237,10 +237,9 @@ def test_adam_first_step_hand_value():
 
 def test_adam_zero_gradient_no_change():
     probe = init_probe(3, 3, 2, "classification", seed=1)
-    before = {k: v.copy() for k, v in probe.params().items()}
+    before = {name: getattr(probe, name).copy() for name in PARAM_NAMES}
     state = AdamState.for_probe(probe)
-    zeros = {name: np.zeros_like(p) for name, p in probe.params().items()}
-    adam_step(probe, state, zeros)
+    adam_step(probe, state, Gradients(np.zeros_like(probe.theta), 0.0))
     for name, value in before.items():
         assert np.array_equal(value, getattr(probe, name))
 
@@ -251,7 +250,7 @@ def test_adam_deterministic(rng):
     for _ in range(2):
         probe = init_probe(4, 4, 2, "classification", seed=3)
         state = AdamState.for_probe(probe)
-        g = {name: np.full_like(p, 0.25) for name, p in probe.params().items()}
+        g = Gradients(np.full_like(probe.theta, 0.25), 0.0)
         adam_step(probe, state, g)
         adam_step(probe, state, g)
         results.append(probe.W2.copy())
@@ -290,10 +289,11 @@ def test_train_deterministic():
 def _per_parameter_adam_step(probe, state, grads):
     """adam_step as it was before the flat parameter vector: one parameter at
     a time, with the moments in name -> array dicts."""
+    grads = probe.views(grads.flat)
     state.t += 1
     b1c = 1.0 - state.beta1 ** state.t
     b2c = 1.0 - state.beta2 ** state.t
-    for name, p in probe.params().items():
+    for name, p in probe.views(probe.theta).items():
         g = grads[name]
         m = state.m.setdefault(name, np.zeros_like(p))
         v = state.v.setdefault(name, np.zeros_like(p))
@@ -353,7 +353,7 @@ def test_train_single_pass_matches_two_pass_loop(kind, monkeypatch):
     monkeypatch.setattr("embprobe.probe_net.forward", no_forward)
     probe, hist = train(init_probe(9, 12, out_dim, kind, seed=6), make_dataset(X, y, kind), cfg)
     assert hist.losses == expected  # bit for bit
-    for name, value in reference.params().items():
+    for name, value in reference.views(reference.theta).items():
         assert np.array_equal(getattr(probe, name), value), name
 
 
@@ -372,23 +372,17 @@ def test_train_matches_per_parameter_adam(kind):
     probe, hist = train(init_probe(20, 33, out_dim, kind, seed=7), make_dataset(X, y, kind), cfg)
     assert hist.losses == expected
     assert np.array_equal(probe.theta, reference.theta)
-    for name, value in reference.params().items():
+    for name, value in reference.views(reference.theta).items():
         assert np.array_equal(getattr(probe, name), value), name
 
 
-def test_adam_step_takes_a_plain_mapping_or_gradients(rng):
+def test_adam_step_rejects_a_state_of_another_size(rng):
     probe = init_probe(5, 6, 3, "classification", seed=1)
-    twin = init_probe(5, 6, 3, "classification", seed=1)
-    X, y = rng.normal(size=(8, 5)), rng.integers(0, 3, size=8)
-    grads = backward(probe, X, y)
-    plain = {name: value.copy() for name, value in grads.items()}
-    s1, s2 = AdamState.for_probe(probe, lr=0.01), AdamState.for_probe(twin, lr=0.01)
-    for _ in range(3):
-        adam_step(probe, s1, grads)
-        adam_step(twin, s2, plain)
-    assert np.array_equal(probe.theta, twin.theta)
+    grads = backward(probe, rng.normal(size=(8, 5)), rng.integers(0, 3, size=8))
+    state = AdamState.for_probe(probe, lr=0.01)
+    adam_step(probe, state, grads)
     with pytest.raises(ValueError, match="Adam state"):
-        adam_step(init_probe(5, 7, 3, "classification", seed=1), s1, plain)
+        adam_step(init_probe(5, 7, 3, "classification", seed=1), state, grads)
 
 
 def test_train_separable_converges():
@@ -459,16 +453,16 @@ def test_argmax_shift_invariant(rng):
     p = init_probe(5, 4, 4, "classification", seed=2)
     X = rng.normal(size=(10, 5))
     base = predict(p, X)
-    p.b3 += 17.5  # constant shift on every logit
+    p.b3[:] += 17.5  # constant shift on every logit (in place: `p.b3 += ...` assigns)
     assert np.array_equal(base, predict(p, X))
 
 
 def test_predict_on_table(rng):
     from embprobe.data_model import EmbeddingTable
     p = init_probe(4, 4, 2, "classification", seed=2)
-    table = EmbeddingTable(dim=4, entries={"a": rng.normal(size=4), "b": rng.normal(size=4)})
-    out = predict(p, table)
-    assert set(out) == {"a", "b"}
+    table = EmbeddingTable(ids=("a", "b"), matrix=rng.normal(size=(2, 4)))
+    out = predict(p, table.matrix)  # one prediction per id, in table.ids order
+    assert out.shape == (2,) and set(out.tolist()) <= {0, 1}
 
 
 # --- flat parameter vector ---
@@ -476,7 +470,8 @@ def test_predict_on_table(rng):
 def _assert_views_tile_theta(probe):
     assert probe.theta.dtype == np.float32 and probe.theta.ndim == 1
     start = 0
-    for name, param in probe.params().items():
+    for name in PARAM_NAMES:
+        param = getattr(probe, name)
         assert np.shares_memory(param, probe.theta), name
         assert param.flags.c_contiguous
         stop = start + param.size
@@ -510,18 +505,16 @@ def test_copies_and_pickles_keep_the_views():
 
 def test_direct_construction_and_assignment_keep_the_flat_store():
     p = init_probe(3, 4, 2, "classification", seed=0)
-    probe = MLPProbe(3, 4, 2, "classification", W1=p.W1, b1=p.b1, W2=p.W2,
-                     b2=p.b2, W3=p.W3, b3=p.b3)
+    probe = MLPProbe(3, 4, 2, "classification", theta=p.theta)
     _assert_views_tile_theta(probe)
     assert not np.shares_memory(probe.theta, p.theta)
-    probe.W3 = np.ones((2, 4))
+    with pytest.raises(AttributeError):
+        probe.W3 = np.ones((2, 4))
+    probe.W3[...] = 1.0  # writing into a view writes theta
     _assert_views_tile_theta(probe)
     assert np.all(probe.theta[-10:-2] == 1.0)
-    with pytest.raises(ValueError, match=r"W3 has shape \(4, 2\), expected \(2, 4\)"):
-        probe.W3 = np.ones((4, 2))
-    with pytest.raises(ValueError, match="b1 has shape"):
-        MLPProbe(3, 4, 2, "classification", W1=p.W1, b1=np.zeros(5), W2=p.W2,
-                 b2=p.b2, W3=p.W3, b3=p.b3)
+    with pytest.raises(ValueError, match=r"theta has shape \(47,\), expected \(46,\)"):
+        MLPProbe(3, 4, 2, "classification", theta=np.zeros(47))
 
 
 # --- serialization ---
@@ -584,12 +577,11 @@ def test_saved_probe_is_the_trained_probe(kind, tmp_path):
 def test_steps_keep_the_probe_dtype(kind, dtype, rng):
     probe = init_probe(5, 6, 3 if kind == "classification" else 1, kind, seed=1, dtype=dtype)
     assert probe.theta.dtype == dtype
-    assert all(p.dtype == dtype for p in probe.params().values())
+    assert all(getattr(probe, name).dtype == dtype for name in PARAM_NAMES)
     X = rng.normal(size=(8, 5))  # float64 inputs are cast to the probe's dtype
     y = rng.integers(0, 3, size=8) if kind == "classification" else rng.normal(size=8)
     grads = backward(probe, X, y)
     assert grads.flat.dtype == dtype
-    assert all(g.dtype == dtype for g in grads.values())
     state = AdamState.for_probe(probe)
     adam_step(probe, state, grads)
     assert probe.theta.dtype == state.m.dtype == state.v.dtype == dtype
@@ -637,7 +629,7 @@ def test_prb1_truncation_or_byte_flip_loads_or_names_path(kind, data):
         except ValueError as exc:
             assert str(path) in str(exc)
         else:
-            assert all(np.all(np.isfinite(v)) for v in probe.params().values())
+            assert np.all(np.isfinite(probe.theta))
             assert probe.task_kind in ("classification", "regression")
 
 

@@ -27,8 +27,8 @@ def test_gen_dataset_deterministic():
     m1, t1 = gen_dataset(spec)
     m2, t2 = gen_dataset(spec)
     assert m1 == m2
-    for utt in t1.entries:
-        assert np.array_equal(t1.entries[utt], t2.entries[utt])
+    assert t1.ids == t2.ids
+    assert np.array_equal(t1.matrix, t2.matrix)
 
 
 def test_gen_dataset_shapes_and_structure():
@@ -94,7 +94,7 @@ def test_regression_target_noiseless_linear():
     manifest, table = gen_dataset(spec)
     values = gen_regression_target(spec, "pitch_proxy", table)
     direction = trait_direction(spec, "pitch_proxy")
-    for utt, vec in table.entries.items():
+    for utt, vec in zip(table.ids, table.matrix):
         assert np.isclose(values[utt], float(vec @ direction))  # strength 1, no noise
 
 
@@ -112,9 +112,8 @@ def test_regression_orthogonal_direction_no_signal():
     manifest, table = gen_dataset(spec)
     direction = trait_direction(spec, "pitch_proxy")
     # remove every trace of the planted direction from the embeddings
-    projected = {utt: vec - (vec @ direction) * direction
-                 for utt, vec in table.entries.items()}
-    flat_table = EmbeddingTable(dim=16, entries=projected)
+    projected = [vec - (vec @ direction) * direction for vec in table.matrix]
+    flat_table = EmbeddingTable(ids=table.ids, matrix=np.array(projected))
     values = gen_regression_target(spec, "pitch_proxy", flat_table)
     train_ids, eval_ids = partition(manifest, "T01", 0.9, seed=5)
     task = TraitTask.regression("pitch_proxy", values)
@@ -151,7 +150,7 @@ def test_gen_scores_separation_monotone():
 def test_gender_ablation_pair_structure():
     manifest, encoder, table = gen_gender_ablation_pair(n_speakers=6, seed=2)
     assert set(encoder) == {r.utt_id for r in manifest.rows}
-    assert set(table.entries) == {r.utt_id for r in manifest.rows}
+    assert table.ids == tuple(r.utt_id for r in manifest.rows)
     genders = {r.gender for r in manifest.rows}
     assert genders == {"female", "male"}
 
