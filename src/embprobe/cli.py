@@ -28,7 +28,7 @@ from .data_model import (ATTACK_TRAITS, META_TRAITS, PartitionScheme, TraitTask,
                          partition, write_embeddings, write_manifest)
 from .distance_analysis import (bonafide_spoof_pairing, check_bins, read_frames,
                                 summarize_by_gender, write_distance_records)
-from .fileio import atomic_write_text
+from .fileio import write_json
 from .metrics import check_resampling, classification_result, regression_result
 from .perturbation import (DEFAULT_RATES, check_rate, run_sweep, speed_perturb,
                            write_score_file)
@@ -135,11 +135,12 @@ SCHEMA = {
                        "score_files": {float: (str, ...)}, "score_dir": (str,)}),
     "synth": Optional({
         **SYNTH_SPEC, "systems": {str: Optional(SYNTH_SPEC)},
-        "audio": Optional({"dir": (str, "audio"), "duration_s": (float, 1.0), "sr": (int, 16000),
-                           "freq_trait": (str,), "freq_base": (float, 200.0),
-                           "freq_scale": (float, 30.0)}),
+        "audio": Optional({"dir": (str, "audio"), "duration_s": (float, 1.0, synth.check_positive),
+                           "sr": (int, 16000, synth.check_positive), "freq_trait": (str,),
+                           "freq_base": (float, 200.0), "freq_scale": (float, 30.0)}),
         "scores": Optional({"dir": (str, "scores"), "rates": (RATES, DEFAULT_RATES),
-                            "n_bonafide": (int, 60), "n_spoof": (int, 60),
+                            "n_bonafide": (int, 60, synth.check_positive),
+                            "n_spoof": (int, 60, synth.check_positive),
                             "base_separation": (float, 3.0), "decay": (float, 4.0)})})}
 
 
@@ -264,10 +265,6 @@ def config_fingerprint(resolved: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _dump_json(path, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
 def _resolve_path(cfg: dict, value) -> Path:
     # relative config paths live under the output directory
     p = Path(value)
@@ -360,7 +357,7 @@ def cmd_partition(resolved: dict, cfg: dict) -> list[dict]:
     schemes = cfg["partition"]["schemes"] or sorted({t["scheme"] for t in cfg["tasks"]})
     for scheme in schemes:
         train_ids, eval_ids = partition(manifest, scheme, fraction, seed)
-        _dump_json(_resolve_path(cfg, f"splits/{scheme}.json"), {
+        write_json(_resolve_path(cfg, f"splits/{scheme}.json"), {
             "scheme": scheme, "train_fraction": fraction, "seed": seed,
             "train": list(train_ids), "eval": list(eval_ids),
         })
@@ -393,7 +390,7 @@ def cmd_traits(resolved: dict, cfg: dict) -> list[dict]:
     if n_ok == 0:
         raise ValueError("trait extraction produced zero successful rows")
     write_trait_csv(values, _resolve_path(cfg, cfg["traits_csv"]))
-    _dump_json(_resolve_path(cfg, "traits_errors.json"), errors)
+    write_json(_resolve_path(cfg, "traits_errors.json"), errors)
     return []
 
 
@@ -498,7 +495,7 @@ def cmd_probe(resolved: dict, cfg: dict, jobs: int = 1) -> list[dict]:
         "config_fingerprint": config_fingerprint(resolved),
         "tasks": records,
     }
-    _dump_json(_resolve_path(cfg, "probe_report.json"), report)
+    write_json(_resolve_path(cfg, "probe_report.json"), report)
     _emit_probe_charts(cfg, records)
     return [r for r in records if r["status"] == "failed"]
 
@@ -575,7 +572,7 @@ def cmd_distance(resolved: dict, cfg: dict) -> list[dict]:
             {"female": [r.mean_distance for r in records if r.gender == "female"],
              "male": [r.mean_distance for r in records if r.gender == "male"]},
             bins=dcfg["bins"], xlabel="mean distance")
-    _dump_json(_resolve_path(cfg, "distance_summary.json"), summary)
+    write_json(_resolve_path(cfg, "distance_summary.json"), summary)
     return []
 
 
@@ -629,7 +626,7 @@ def cmd_report(resolved: dict, cfg: dict) -> list[dict]:
         if path.exists():
             doc = json.loads(path.read_text(encoding="utf-8"))
             report[key] = doc.get("tasks", doc) if fname == "probe_report.json" else doc
-    _dump_json(_resolve_path(cfg, "report.json"), report)
+    write_json(_resolve_path(cfg, "report.json"), report)
     return []
 
 
@@ -674,7 +671,7 @@ def main(argv=None) -> int:
         failures = [{"command": args.command, "error": str(exc)}]
 
     if failures:
-        _dump_json(failures_path, {"command": args.command, "failures": failures})
+        write_json(failures_path, {"command": args.command, "failures": failures})
         print(json.dumps({"command": args.command, "failures": failures}, sort_keys=True),
               file=sys.stderr)
         return 1

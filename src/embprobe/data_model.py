@@ -1,7 +1,6 @@
 """Manifests, embedding tables, label spaces, and dataset partitioning."""
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -12,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import atomic_write_bytes, atomic_write_text, read_utf8_text
+from .fileio import (atomic_write_bytes, atomic_write_text, read_csv, read_utf8_text,
+                     write_csv)
 from .rng import make_rng
 
 GENDERS = ("female", "male")
@@ -24,6 +24,9 @@ MANIFEST_COLUMNS = (
     "utt_id", "speaker_id", "gender", "age", "accent",
     "is_bonafide", "attack_id", "attack_type", "transcript", "audio_path",
 )
+MANIFEST_REQUIRED = MANIFEST_COLUMNS[:6]  # the other four are optional
+MANIFEST_JSONL_SUFFIXES = (".jsonl", ".ndjson")  # any other suffix is CSV
+EMB_CSV_SUFFIX = ".csv"  # any other suffix is EMB1
 
 EMB_MAGIC = b"EMB1"
 
@@ -81,29 +84,31 @@ def _parse_bool(text: str, where: str) -> bool:
     raise ValueError(f"{where}: bad boolean {text!r}")
 
 
-def _read_manifest_csv(path: Path) -> list[ManifestRow]:
-    rows = []
-    reader = csv.reader(io.StringIO(read_utf8_text(path), newline=""))
-    header = next(reader, None)
-    if header != list(MANIFEST_COLUMNS):
-        raise ValueError(f"{path}: line 1: bad header {header!r}")
-    for lineno, rec in enumerate(reader, start=2):
-        if not rec:
-            continue
-        where = f"{path}: line {lineno}"
-        if len(rec) != len(MANIFEST_COLUMNS):
-            raise ValueError(f"{where}: expected {len(MANIFEST_COLUMNS)} fields, got {len(rec)}")
-        try:
-            age = int(rec[3])
-        except ValueError:
-            raise ValueError(f"{where}: bad age {rec[3]!r}") from None
-        rows.append(ManifestRow(
-            utt_id=rec[0], speaker_id=rec[1], gender=rec[2], age=age, accent=rec[4],
-            is_bonafide=_parse_bool(rec[5], where),
-            attack_id=rec[6] or None, attack_type=rec[7] or None,
-            transcript=rec[8] or None, audio_path=rec[9] or None,
-        ))
-    return rows
+def _manifest_row(fields: list[str], where: str) -> ManifestRow:
+    # one row from its MANIFEST_COLUMNS cells as text; empty = absent optional
+    try:
+        age = int(fields[3])
+    except ValueError:
+        raise ValueError(f"{where}: bad age {fields[3]!r}") from None
+    return ManifestRow(
+        utt_id=fields[0], speaker_id=fields[1], gender=fields[2], age=age, accent=fields[4],
+        is_bonafide=_parse_bool(fields[5], where),
+        attack_id=fields[6] or None, attack_type=fields[7] or None,
+        transcript=fields[8] or None, audio_path=fields[9] or None,
+    )
+
+
+def _json_cell(obj: dict, key: str, where: str) -> str:
+    # a JSONL field as the text its CSV cell holds: null or absent is empty,
+    # a number or boolean its JSON text
+    value = obj.get(key)
+    if value is None and key in MANIFEST_REQUIRED:
+        raise ValueError(f"{where}: missing field {key!r}")
+    if value is None or isinstance(value, str):
+        return value or ""
+    if isinstance(value, bool | int | float):
+        return json.dumps(value)
+    raise ValueError(f"{where}: field {key!r} must be a string, a number or a boolean")
 
 
 def _read_manifest_jsonl(path: Path) -> list[ManifestRow]:
@@ -115,73 +120,47 @@ def _read_manifest_jsonl(path: Path) -> list[ManifestRow]:
         where = f"{path}: line {lineno}"
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{where}: bad JSON ({exc.msg})") from None
+        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+            raise ValueError(f"{where}: bad JSON ({getattr(exc, 'msg', exc)})") from None
         if not isinstance(obj, dict):
             raise ValueError(f"{where}: expected an object")
-        try:
-            rows.append(ManifestRow(
-                utt_id=str(obj["utt_id"]), speaker_id=str(obj["speaker_id"]),
-                gender=str(obj["gender"]), age=int(obj["age"]), accent=str(obj["accent"]),
-                is_bonafide=bool(obj["is_bonafide"]),
-                attack_id=obj.get("attack_id"), attack_type=obj.get("attack_type"),
-                transcript=obj.get("transcript"), audio_path=obj.get("audio_path"),
-            ))
-        except KeyError as exc:
-            raise ValueError(f"{where}: missing field {exc.args[0]!r}") from None
+        rows.append(_manifest_row([_json_cell(obj, key, where) for key in MANIFEST_COLUMNS],
+                                  where))
     return rows
 
 
-def load_manifest(path, fmt: str | None = None) -> Manifest:
-    """Load and validate a manifest from CSV or JSONL.
-
-    fmt defaults to the file suffix (.jsonl for JSON lines, CSV otherwise).
-    """
+def load_manifest(path) -> Manifest:
+    """Load and validate a manifest: JSON lines for a .jsonl or .ndjson
+    suffix, CSV otherwise. Any fault raises ValueError naming `path`."""
     path = Path(path)
-    if fmt is None:
-        fmt = "jsonl" if path.suffix in (".jsonl", ".ndjson") else "csv"
-    if fmt == "csv":
-        rows = _read_manifest_csv(path)
-    elif fmt == "jsonl":
+    if path.suffix in MANIFEST_JSONL_SUFFIXES:
         rows = _read_manifest_jsonl(path)
     else:
-        raise ValueError(f"unknown manifest format {fmt!r}")
+        rows = [_manifest_row(rec, where) for where, rec in read_csv(path, MANIFEST_COLUMNS)]
     if not rows:
         raise ValueError(f"{path}: empty manifest")
-    return Manifest(rows=tuple(rows))
+    try:
+        return Manifest(rows=tuple(rows))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def write_manifest(manifest: Manifest, path, fmt: str | None = None) -> None:
+def write_manifest(manifest: Manifest, path) -> None:
+    """Write CSV, or JSON lines for a .jsonl or .ndjson suffix; an empty or
+    absent optional is an empty cell, or an omitted key."""
     path = Path(path)
-    if fmt is None:
-        fmt = "jsonl" if path.suffix in (".jsonl", ".ndjson") else "csv"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(MANIFEST_COLUMNS)
-        for row in manifest.rows:
-            writer.writerow([
-                row.utt_id, row.speaker_id, row.gender, str(row.age), row.accent,
-                "true" if row.is_bonafide else "false",
-                row.attack_id or "", row.attack_type or "",
-                row.transcript or "", row.audio_path or "",
-            ])
-        atomic_write_text(path, buf.getvalue())
-    elif fmt == "jsonl":
-        lines = []
-        for row in manifest.rows:
-            obj = {
-                "utt_id": row.utt_id, "speaker_id": row.speaker_id, "gender": row.gender,
-                "age": row.age, "accent": row.accent, "is_bonafide": row.is_bonafide,
-            }
-            for key in ("attack_id", "attack_type", "transcript", "audio_path"):
-                value = getattr(row, key)
-                if value is not None:
-                    obj[key] = value
-            lines.append(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-        atomic_write_text(path, "\n".join(lines) + "\n")
-    else:
-        raise ValueError(f"unknown manifest format {fmt!r}")
+    if path.suffix not in MANIFEST_JSONL_SUFFIXES:
+        write_csv(path, [MANIFEST_COLUMNS, *([
+            row.utt_id, row.speaker_id, row.gender, str(row.age), row.accent,
+            "true" if row.is_bonafide else "false",
+            row.attack_id or "", row.attack_type or "",
+            row.transcript or "", row.audio_path or "",
+        ] for row in manifest.rows)])
+        return
+    lines = [json.dumps({key: value for key, value in vars(row).items()
+                         if value or key in MANIFEST_REQUIRED},
+                        sort_keys=True, separators=(",", ":")) for row in manifest.rows]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 @dataclass
@@ -253,15 +232,11 @@ def _read_emb_csv(path: Path) -> tuple[list[str], np.ndarray]:
     ids: list[str] = []
     rows: list[list[float]] = []
     dim = None
-    reader = csv.reader(io.StringIO(read_utf8_text(path), newline=""))
-    for lineno, rec in enumerate(reader, start=1):
-        if not rec:
-            continue
-        if dim is None:
+    for where, rec in read_csv(path):
+        if dim is None:  # the first record sets dim, and may be the header
             dim = len(rec) - 1
-        if lineno == 1 and rec[0] == "utt_id":
-            continue
-        where = f"{path}: line {lineno}"
+            if rec[0] == "utt_id":
+                continue
         if len(rec) - 1 != dim:
             raise ValueError(f"{where}: dim mismatch across rows")
         try:
@@ -272,42 +247,32 @@ def _read_emb_csv(path: Path) -> tuple[list[str], np.ndarray]:
     return ids, np.array(rows, dtype=np.float64)
 
 
-def load_embeddings(path, fmt: str | None = None) -> EmbeddingTable:
-    """Load an embedding table ("binary" EMB1 or "csv"); any fault in the
-    file raises ValueError naming `path`."""
+def load_embeddings(path) -> EmbeddingTable:
+    """Load an embedding table: CSV for a .csv suffix, EMB1 otherwise; any
+    fault in the file raises ValueError naming `path`."""
     path = Path(path)
-    if fmt is None:
-        fmt = "csv" if path.suffix == ".csv" else "binary"
-    if fmt not in ("binary", "csv"):
-        raise ValueError(f"unknown embedding format {fmt!r}")
-    ids, matrix = (_read_emb_binary if fmt == "binary" else _read_emb_csv)(path)
+    ids, matrix = (_read_emb_csv if path.suffix == EMB_CSV_SUFFIX else _read_emb_binary)(path)
     try:
         return EmbeddingTable(ids=tuple(ids), matrix=matrix)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def write_embeddings(table: EmbeddingTable, path, fmt: str | None = None) -> None:
+def write_embeddings(table: EmbeddingTable, path) -> None:
+    """Write CSV (header `utt_id,v0,...`) for a .csv suffix, EMB1 otherwise."""
     path = Path(path)
-    if fmt is None:
-        fmt = "csv" if path.suffix == ".csv" else "binary"
-    if fmt == "binary":
-        buf = bytearray()
-        buf += EMB_MAGIC
-        buf += struct.pack("<II", table.dim, len(table))
-        for utt, vec in zip(table.ids, table.matrix.astype("<f4")):
-            raw = utt.encode("utf-8")
-            buf += struct.pack("<H", len(raw)) + raw + vec.tobytes()
-        atomic_write_bytes(path, bytes(buf))
-    elif fmt == "csv":
-        lines = ["utt_id," + ",".join(f"v{i}" for i in range(table.dim))]
-        for utt, vec in zip(table.ids, table.matrix.tolist()):
-            if any(c in utt for c in ',"\r\n'):  # quoted the way csv.reader reads it back
-                utt = '"' + utt.replace('"', '""') + '"'
-            lines.append(utt + "," + ",".join(map(repr, vec)))
-        atomic_write_text(path, "\n".join(lines) + "\n")
-    else:
-        raise ValueError(f"unknown embedding format {fmt!r}")
+    if path.suffix == EMB_CSV_SUFFIX:
+        write_csv(path, [("utt_id", *(f"v{i}" for i in range(table.dim))),
+                         *((utt, *map(repr, vec))
+                           for utt, vec in zip(table.ids, table.matrix.tolist()))])
+        return
+    buf = bytearray()
+    buf += EMB_MAGIC
+    buf += struct.pack("<II", table.dim, len(table))
+    for utt, vec in zip(table.ids, table.matrix.astype("<f4")):
+        raw = utt.encode("utf-8")
+        buf += struct.pack("<H", len(raw)) + raw + vec.tobytes()
+    atomic_write_bytes(path, bytes(buf))
 
 
 @dataclass(frozen=True)
@@ -395,6 +360,31 @@ def check_train_fraction(train_fraction: float) -> None:
         raise ValueError("train_fraction must lie in (0, 1)")
 
 
+def _utts_by(rows, key) -> dict[str, list[str]]:
+    groups: dict[str, list[str]] = {}
+    for row in rows:
+        groups.setdefault(key(row), []).append(row.utt_id)
+    return groups
+
+
+def _stratified_split(groups: dict[str, list[str]], train_fraction: float,
+                      rng) -> tuple[list[str], list[str]]:
+    # per group in sorted order: a permutation of its sorted utterances, the
+    # first _eval_count held out; a single-utterance group goes to train
+    train: list[str] = []
+    evals: list[str] = []
+    for key in sorted(groups):
+        utts = sorted(groups[key])
+        if len(utts) < 2:
+            train.extend(utts)
+            continue
+        order = rng.permutation(len(utts))
+        k = _eval_count(len(utts), train_fraction)
+        evals.extend(utts[i] for i in order[:k])
+        train.extend(utts[i] for i in order[k:])
+    return train, evals
+
+
 def partition(manifest: Manifest, scheme, train_fraction: float = 0.9,
               seed: int = 0) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Split a manifest into (train, eval) utt_id tuples.
@@ -407,49 +397,29 @@ def partition(manifest: Manifest, scheme, train_fraction: float = 0.9,
     scheme = PartitionScheme(scheme)
     check_train_fraction(train_fraction)
     rng = make_rng(seed, "partition", scheme.value)
-    train: list[str] = []
-    evals: list[str] = []
 
-    if scheme is PartitionScheme.T01:
-        groups: dict[str, list[str]] = {}
-        for row in manifest.bonafide():
-            groups.setdefault(row.speaker_id, []).append(row.utt_id)
-        if not groups:
-            raise ValueError("no bonafide rows for T01")
-        for speaker in sorted(groups):
-            utts = sorted(groups[speaker])
-            if len(utts) < 2:
-                train.extend(utts)
-                continue
-            order = rng.permutation(len(utts))
-            k = _eval_count(len(utts), train_fraction)
-            evals.extend(utts[i] for i in order[:k])
-            train.extend(utts[i] for i in order[k:])
-    elif scheme is PartitionScheme.T02:
-        groups = {}
-        for row in manifest.bonafide():
-            groups.setdefault(row.speaker_id, []).append(row.utt_id)
-        speakers = sorted(groups)
-        if len(speakers) < 2:
-            raise ValueError("T02 infeasible: fewer than 2 bonafide speakers")
-        order = rng.permutation(len(speakers))
-        k = _eval_count(len(speakers), train_fraction)
-        eval_speakers = {speakers[i] for i in order[:k]}
-        for speaker in speakers:
-            dest = evals if speaker in eval_speakers else train
-            dest.extend(sorted(groups[speaker]))
-    else:
-        groups = {}
-        for row in manifest.rows:
-            groups.setdefault(trait_label(row, "attack_id"), []).append(row.utt_id)
+    if scheme is PartitionScheme.T03:
+        groups = _utts_by(manifest.rows, lambda row: trait_label(row, "attack_id"))
         for cls in sorted(groups):
-            utts = sorted(groups[cls])
-            if len(utts) < 2:
-                raise ValueError(f"T03 infeasible: class {cls!r} has {len(utts)} utterance(s)")
-            order = rng.permutation(len(utts))
-            k = _eval_count(len(utts), train_fraction)
-            evals.extend(utts[i] for i in order[:k])
-            train.extend(utts[i] for i in order[k:])
+            if len(groups[cls]) < 2:
+                raise ValueError(f"T03 infeasible: class {cls!r} has "
+                                 f"{len(groups[cls])} utterance(s)")
+        train, evals = _stratified_split(groups, train_fraction, rng)
+    else:
+        groups = _utts_by(manifest.bonafide(), lambda row: row.speaker_id)
+        if scheme is PartitionScheme.T01:
+            if not groups:
+                raise ValueError("no bonafide rows for T01")
+            train, evals = _stratified_split(groups, train_fraction, rng)
+        else:
+            speakers = sorted(groups)
+            if len(speakers) < 2:
+                raise ValueError("T02 infeasible: fewer than 2 bonafide speakers")
+            order = rng.permutation(len(speakers))
+            eval_speakers = {speakers[i]
+                             for i in order[:_eval_count(len(speakers), train_fraction)]}
+            train = [u for s in speakers if s not in eval_speakers for u in groups[s]]
+            evals = [u for s in speakers if s in eval_speakers for u in groups[s]]
 
     return tuple(sorted(train)), tuple(sorted(evals))
 

@@ -8,8 +8,6 @@ coefficient.
 """
 from __future__ import annotations
 
-import csv
-import io
 import struct
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -18,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .data_model import Manifest
-from .fileio import atomic_write_bytes, atomic_write_text
+from .fileio import atomic_write_bytes, write_csv
 from .trait_extract import SpectralFrames
 
 FRM_MAGIC = b"FRM1"
@@ -233,10 +231,6 @@ DISTANCE_CSV_COLUMNS = ("bonafide_utt", "speaker_id", "gender", "representation"
 
 
 def write_distance_records(records, path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(DISTANCE_CSV_COLUMNS)
-    for rec in records:
-        writer.writerow([rec.bonafide_utt, rec.speaker_id, rec.gender,
-                         rec.representation, repr(float(rec.mean_distance))])
-    atomic_write_text(path, buf.getvalue())
+    write_csv(path, [DISTANCE_CSV_COLUMNS, *(
+        [rec.bonafide_utt, rec.speaker_id, rec.gender, rec.representation,
+         repr(float(rec.mean_distance))] for rec in records)])

@@ -7,14 +7,13 @@ and reports EER per rate.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .fileio import atomic_write_text, read_utf8_text
+from .fileio import atomic_write_text, read_utf8_text, write_csv, write_json
 from .metrics import EERResult, eer
 from .trait_extract import Waveform
 
@@ -168,12 +167,10 @@ def run_sweep(rates, score_files: dict, outdir=None) -> dict[float, EERResult]:
     if outdir is not None:
         outdir = Path(outdir)
         rates = sorted(results)
-        lines = ["rate,eer,threshold"]
-        lines += [f"{r!r},{results[r].eer!r},{results[r].threshold!r}" for r in rates]
-        atomic_write_text(outdir / "sweep_eer.csv", "\n".join(lines) + "\n")
-        eers = {f"{r:g}": {"eer": results[r].eer, "threshold": results[r].threshold} for r in rates}
-        atomic_write_text(outdir / "sweep_eer.json",
-                          json.dumps(eers, sort_keys=True, indent=2) + "\n")
+        write_csv(outdir / "sweep_eer.csv", [("rate", "eer", "threshold"), *(
+            (repr(r), repr(results[r].eer), repr(results[r].threshold)) for r in rates)])
+        write_json(outdir / "sweep_eer.json", {
+            f"{r:g}": {"eer": results[r].eer, "threshold": results[r].threshold} for r in rates})
         from .charts import line_chart
         line_chart(outdir / "sweep_eer.svg", "CM performance vs speed perturbation rate",
                    rates, [100.0 * results[r].eer for r in rates],

@@ -146,13 +146,20 @@ def gen_regression_target(spec: SynthSpec, trait_name: str,
             for utt, vec in zip(table.ids, table.matrix)}
 
 
+def check_positive(**values) -> None:
+    """Raise ValueError naming the first of `values` (a count, a duration or a
+    sample rate) that is not positive."""
+    for name, value in values.items():
+        if value <= 0:
+            raise ValueError(f"{name} must be positive")
+
+
 def gen_tone(freq: float, dur: float, sr: int = 16000,
              amplitude: float = 0.5) -> Waveform:
     """Pure sine of `dur` seconds starting at phase 0."""
+    check_positive(duration_s=dur, sr=sr)
     if freq <= 0 or freq >= sr / 2:
         raise ValueError(f"frequency must lie in (0, Nyquist={sr / 2})")
-    if dur <= 0:
-        raise ValueError("duration must be positive")
     n = int(round(dur * sr))
     t = np.arange(n) / sr
     return Waveform(samples=amplitude * np.sin(2.0 * math.pi * freq * t), sample_rate=sr)
@@ -164,6 +171,7 @@ def gen_scores(n_bonafide: int, n_spoof: int, separation: float,
 
     Larger separation means an easier detection problem (lower EER).
     """
+    check_positive(n_bonafide=n_bonafide, n_spoof=n_spoof)
     rng = make_rng(seed, "synth-scores")
     rows = [ScoreRow(f"BONA{i:05d}", float(rng.normal(separation / 2.0, 1.0)), True)
             for i in range(n_bonafide)]

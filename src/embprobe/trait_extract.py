@@ -6,9 +6,7 @@ distance analysis. All extractors are deterministic.
 """
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import math
 import struct
 from dataclasses import dataclass
@@ -16,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import atomic_write_bytes, atomic_write_text, read_utf8_text
+from .fileio import atomic_write_bytes, read_csv, write_csv
 
 POWER_FLOOR = 1e-10
 
@@ -45,8 +43,6 @@ class SpectralFrames:
     """Non-negative frame-level power values (N frames x B bins)."""
 
     frames: np.ndarray
-    frame_shift: float
-    frame_length: float
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
@@ -335,7 +331,7 @@ def power_spectrogram(w: Waveform, frame_len: float = 0.025, hop: float = 0.010,
         scale[-1] = 1.0 / fft_size
     power *= scale
     np.maximum(power, POWER_FLOOR, out=power)
-    return SpectralFrames(frames=power, frame_shift=hopn / sr, frame_length=n / sr)
+    return SpectralFrames(frames=power)
 
 
 def check_chunk_seconds(chunk_seconds: float) -> None:
@@ -355,15 +351,15 @@ def chunk_fixed(w: Waveform, seconds: float) -> Waveform:
     return Waveform(samples=np.resize(w.samples, target), sample_rate=w.sample_rate)
 
 
-def extract_traits(w: Waveform, transcript: str | None = None,
-                   **f0_kwargs) -> tuple[TraitValues, dict[str, str]]:
+def extract_traits(w: Waveform,
+                   transcript: str | None = None) -> tuple[TraitValues, dict[str, str]]:
     """All four traits for one utterance; per-trait failures are recorded by
     reason instead of aborting."""
     failures: dict[str, str] = {}
     dur = duration(w)
     values = TraitValues(duration=dur)
     try:
-        values.f0_mean = f0_mean(w, **f0_kwargs)
+        values.f0_mean = f0_mean(w)
     except ValueError as exc:
         failures["f0_mean"] = str(exc)
     if transcript is None:
@@ -382,18 +378,10 @@ TRAIT_CSV_COLUMNS = ("utt_id", "f0_mean", "speaking_rate", "duration", "snr")
 
 def write_trait_csv(values: dict[str, TraitValues], path) -> None:
     """CSV `utt_id,f0_mean,speaking_rate,duration,snr`; empty cell = absent."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRAIT_CSV_COLUMNS)
-    for utt, tv in values.items():
-        writer.writerow([
-            utt,
-            "" if tv.f0_mean is None else repr(float(tv.f0_mean)),
-            "" if tv.speaking_rate is None else repr(float(tv.speaking_rate)),
-            "" if tv.duration is None else repr(float(tv.duration)),
-            "" if tv.snr is None else repr(float(tv.snr)),
-        ])
-    atomic_write_text(path, buf.getvalue())
+    write_csv(path, [TRAIT_CSV_COLUMNS, *(
+        [utt, *("" if value is None else repr(float(value))
+                for value in (tv.f0_mean, tv.speaking_rate, tv.duration, tv.snr))]
+        for utt, tv in values.items())])
 
 
 def _trait_cell(cell: str, where: str, column: str) -> float | None:
@@ -412,19 +400,9 @@ def _trait_cell(cell: str, where: str, column: str) -> float | None:
 
 def read_trait_csv(path) -> dict[str, TraitValues]:
     path = Path(path)
-    out: dict[str, TraitValues] = {}
-    reader = csv.reader(io.StringIO(read_utf8_text(path), newline=""))
-    header = next(reader, None)
-    if header != list(TRAIT_CSV_COLUMNS):
-        raise ValueError(f"{path}: line 1: bad header {header!r}")
-    for lineno, rec in enumerate(reader, start=2):
-        if not rec:
-            continue
-        where = f"{path}: line {lineno}"
-        if len(rec) != len(TRAIT_CSV_COLUMNS):
-            raise ValueError(f"{where}: expected {len(TRAIT_CSV_COLUMNS)} fields")
-        out[rec[0]] = TraitValues(**{column: _trait_cell(cell, where, column)
-                                     for column, cell in zip(TRAIT_CSV_COLUMNS[1:], rec[1:])})
+    out = {rec[0]: TraitValues(**{column: _trait_cell(cell, where, column)
+                                  for column, cell in zip(TRAIT_CSV_COLUMNS[1:], rec[1:])})
+           for where, rec in read_csv(path, TRAIT_CSV_COLUMNS)}
     if not out:
         raise ValueError(f"{path}: empty trait file")
     return out

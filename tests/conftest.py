@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from embprobe.data_model import Manifest, ManifestRow
 
@@ -31,6 +32,16 @@ def toy_manifest(n_speakers=4, bonafide_per_speaker=4, spoof_per_speaker=2,
                                  age=20 + s, bonafide=False, attack_id=attack,
                                  attack_type="TTS" if attack == "A07" else "VC"))
     return Manifest(rows=tuple(rows))
+
+
+def damaged(blob: bytes, data) -> bytes:
+    """`blob` truncated, or with one byte flipped by a nonzero mask, as drawn
+    from hypothesis `data`."""
+    if data.draw(st.booleans(), label="truncate"):
+        return blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+    mask = data.draw(st.integers(1, 255), label="mask")
+    return blob[:at] + bytes([blob[at] ^ mask]) + blob[at + 1:]
 
 
 @pytest.fixture

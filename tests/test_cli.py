@@ -352,10 +352,14 @@ def test_validate_task_rules():
     ("synth", "attack_ids", []),
     ("distance", "bins", 0),
     ("distance", "chunk_seconds", 0),
+    ("synth.scores", "n_bonafide", 0),
+    ("synth.scores", "n_spoof", 0),
+    ("synth.audio", "duration_s", 0),
+    ("synth.audio", "sr", 0),
 ], ids=lambda v: str(v))
 def test_bad_config_value_fails_before_any_io(tmp_path, command, section, key, value):
     cfg = pipeline_config(tmp_path / "out")  # no manifest or other input exists
-    (cfg[section] if section else cfg)[key] = value
+    _set(cfg, (*section.split("."), key) if section else (key,), value)
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main([command, "--config", str(cfg_path)]) == 1
@@ -432,6 +436,10 @@ OUT_OF_RANGE = {
     "synth.attack_ids": st.just([]),
     "distance.bins": st.integers(max_value=0),
     "distance.chunk_seconds": st.floats(max_value=0.0),
+    "synth.audio.duration_s": st.floats(max_value=0.0),
+    "synth.audio.sr": st.integers(max_value=0),
+    "synth.scores.n_bonafide": st.integers(max_value=0),
+    "synth.scores.n_spoof": st.integers(max_value=0),
     "tasks[0]": st.just({"trait": "gender", "kind": "classification", "scheme": "T03"}),
 }
 
@@ -472,6 +480,21 @@ def test_valid_configs_pass_the_check():
     check_config(resolve_config(VALID_CONFIG))
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     check_config(resolve_config(yaml.safe_load(readme.split("```yaml\n")[1].split("```")[0])))
+
+
+def test_readme_library_use_runs_as_written(tmp_path, monkeypatch, capsys):
+    cfg = {"outdir": str(tmp_path), "embeddings": {"cm": "cm.emb"},
+           "synth": {"n_speakers": 10, "utts_per_speaker": 6, "dim": 16,
+                     "planted": [{"trait": "gender", "kind": "cluster", "strength": 1.0}]}}
+    cfg_path = tmp_path / "synth.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    snippet = readme.split("## Library use\n")[1].split("```python\n")[1].split("```")[0]
+    monkeypatch.chdir(tmp_path)  # the snippet names manifest.csv and cm.emb
+    exec(compile(snippet, "README.md", "exec"), {})
+    accuracy, ci_low, ci_high = map(float, capsys.readouterr().out.split())
+    assert 0.0 <= ci_low <= accuracy <= ci_high <= 1.0
 
 
 def test_fingerprint_changes_iff_config_changes(tmp_path):

@@ -1,3 +1,6 @@
+import csv
+import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -7,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from embprobe.data_model import (EmbeddingTable, Manifest, PartitionScheme,
-                                 TraitTask, assemble, build_label_space,
-                                 load_embeddings, load_manifest, partition,
-                                 trait_label, write_embeddings, write_manifest)
+from embprobe.data_model import (GENDERS, MANIFEST_COLUMNS, EmbeddingTable, Manifest,
+                                 ManifestRow, PartitionScheme, TraitTask, assemble,
+                                 build_label_space, load_embeddings, load_manifest,
+                                 partition, trait_label, write_embeddings,
+                                 write_manifest)
 
-from conftest import make_row, toy_manifest
+from conftest import damaged, make_row, toy_manifest
 
 
 # --- manifest loading and validation ---
@@ -90,6 +94,82 @@ def test_manifest_csv_quoting(tmp_path):
     path = tmp_path / "q.csv"
     write_manifest(m, path)
     assert load_manifest(path).rows[0].transcript == 'say "hi", now'
+
+
+def test_manifest_csv_cr_in_a_field_reads_back(tmp_path):
+    m = Manifest(rows=(make_row("U\r1", transcript="one\rtwo", accent="a\r\nb"),))
+    path = tmp_path / "cr.csv"
+    write_manifest(m, path)
+    assert load_manifest(path) == m
+
+
+JSONL_ROW = {"utt_id": "U1", "speaker_id": "S1", "gender": "female", "age": 25,
+             "accent": "english", "is_bonafide": True}
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+@pytest.mark.parametrize("rows, message", [
+    ([{}, {}], "duplicate utt_id 'U1'"),
+    ([{"gender": "other"}], "row 1 (U1): gender must be one of"),
+    ([{"attack_id": "A07"}], "row 1 (U1): bonafide/attack conflict"),
+], ids=["duplicate", "gender", "conflict"])
+def test_manifest_validation_errors_name_the_file(tmp_path, suffix, rows, message):
+    path = tmp_path / f"m{suffix}"
+    rows = [{**JSONL_ROW, **row} for row in rows]
+    if suffix == ".csv":
+        path.write_text(",".join(MANIFEST_COLUMNS) + "\n" + "".join(
+            ",".join(str(row.get(key, "")) for key in MANIFEST_COLUMNS) + "\n"
+            for row in rows))
+    else:
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(ValueError) as info:
+        load_manifest(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("fields, expected", [
+    ({"is_bonafide": "false", "attack_id": 7}, {"is_bonafide": False, "attack_id": "7"}),
+    ({"is_bonafide": 0, "attack_id": "A07", "attack_type": None},
+     {"is_bonafide": False, "attack_id": "A07", "attack_type": None}),
+    ({"age": "31", "transcript": ""}, {"age": 31, "transcript": None}),
+])
+def test_manifest_jsonl_fields_parse_as_their_csv_text(tmp_path, fields, expected):
+    path = tmp_path / "m.jsonl"
+    path.write_text(json.dumps({**JSONL_ROW, **fields}) + "\n")
+    row = load_manifest(path).rows[0]
+    assert {key: getattr(row, key) for key in expected} == expected
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("age", "null", "line 1: missing field 'age'"),
+    ("age", '"x"', "line 1: bad age 'x'"),
+    ("age", "25.5", "line 1: bad age '25.5'"),
+    ("is_bonafide", '"maybe"', "line 1: bad boolean 'maybe'"),
+    ("accent", '["english"]', "line 1: field 'accent' must be a string"),
+    ("age", "9" * 5000, "line 1: bad JSON"),  # past int's default digit limit
+], ids=lambda v: v[:12])
+def test_manifest_jsonl_bad_field_names_the_file(tmp_path, key, value, message):
+    path = tmp_path / "m.jsonl"
+    path.write_text(json.dumps({**JSONL_ROW, key: "@"}).replace('"@"', value) + "\n")
+    with pytest.raises(ValueError) as info:
+        load_manifest(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("name", ["manifest.csv", "emb.csv"])
+def test_csv_reader_field_over_csv_limit_names_the_file(tmp_path, mixed_manifest, rng, name):
+    path = tmp_path / name
+    if name.startswith("manifest"):
+        write_manifest(mixed_manifest, path)
+    else:
+        write_embeddings(EmbeddingTable(ids=("U1",), matrix=rng.normal(size=(1, 3))), path)
+    with path.open("a") as fh:
+        fh.write('"' + "x" * 140_000 + "\n")  # an unclosed quote
+    with pytest.raises(ValueError, match="field larger than field limit") as info:
+        (load_manifest if name.startswith("manifest") else load_embeddings)(path)
+    assert str(info.value).startswith(f"{path}: line ")
 
 
 # --- label spaces ---
@@ -350,6 +430,84 @@ def test_assemble_unit_norm(mixed_manifest, rng):
     assert np.isclose(np.linalg.norm(ds.X[0]), 1.0)
 
 
+# --- manifest readers under random manifests and damage ---
+
+# any text, separators, quotes, line breaks and non-ASCII made likely
+TEXT = st.text(st.sampled_from(',"\r\n é') | st.characters(blacklist_categories=("Cs",)),
+               max_size=8)
+
+
+@st.composite
+def _manifests(draw, text=TEXT):
+    # an empty optional is written as absent, so a file cannot hold "" apart from None
+    optional = st.none() | text.filter(bool)
+    rows = []
+    for utt in draw(st.lists(text, min_size=1, max_size=4, unique=True)):
+        bonafide = draw(st.booleans())
+        rows.append(ManifestRow(
+            utt_id=utt, speaker_id=draw(text), gender=draw(st.sampled_from(GENDERS)),
+            age=draw(st.integers(-10**6, 10**6)), accent=draw(text), is_bonafide=bonafide,
+            attack_id=None if bonafide else draw(text.filter(bool)),
+            attack_type=None if bonafide else draw(optional),
+            transcript=draw(optional), audio_path=draw(optional)))
+    return Manifest(rows=tuple(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(suffix=st.sampled_from([".csv", ".jsonl"]), manifest=_manifests())
+def test_manifest_write_read_write_is_byte_stable(suffix, manifest):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / f"a{suffix}", Path(tmp) / f"b{suffix}"
+        write_manifest(manifest, first)
+        loaded = load_manifest(first)
+        write_manifest(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+    assert loaded == manifest
+
+
+def _reference_manifest_csv(manifest) -> bytes:
+    """write_manifest's CSV branch as it was, on csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(MANIFEST_COLUMNS)
+    for row in manifest.rows:
+        writer.writerow([
+            row.utt_id, row.speaker_id, row.gender, str(row.age), row.accent,
+            "true" if row.is_bonafide else "false",
+            row.attack_id or "", row.attack_type or "",
+            row.transcript or "", row.audio_path or "",
+        ])
+    return buf.getvalue().encode("utf-8")
+
+
+@settings(max_examples=200, deadline=None)
+@given(manifest=_manifests(TEXT.map(lambda text: text.replace("\r", ""))))
+def test_manifest_csv_bytes_match_csv_writer_without_cr(manifest):
+    """Only a field holding CR, which csv.writer left unquoted, is written anew."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        write_manifest(manifest, path)
+        assert path.read_bytes() == _reference_manifest_csv(manifest)
+
+
+@settings(max_examples=300, deadline=None)
+@given(suffix=st.sampled_from([".csv", ".jsonl"]), manifest=_manifests(), data=st.data())
+def test_manifest_truncation_or_byte_flip_loads_or_names_path(suffix, manifest, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"mutated{suffix}"
+        write_manifest(manifest, path)
+        path.write_bytes(damaged(path.read_bytes(), data))
+        try:
+            loaded = load_manifest(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+        else:
+            assert all(isinstance(row.age, int) and isinstance(row.is_bonafide, bool)
+                       and all(isinstance(getattr(row, key), str | None)
+                               for key in MANIFEST_COLUMNS if key not in ("age", "is_bonafide"))
+                       for row in loaded.rows)
+
+
 # --- EMB1 and embedding-CSV readers under random tables and damage ---
 
 @st.composite
@@ -384,14 +542,7 @@ def test_emb_truncation_or_byte_flip_loads_or_names_path(fmt, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"mutated.{fmt}"
         write_embeddings(EmbeddingTable(ids=tuple(ids), matrix=matrix), path)
-        blob = path.read_bytes()
-        if data.draw(st.booleans(), label="truncate"):
-            blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
-        else:
-            at = data.draw(st.integers(0, len(blob) - 1), label="offset")
-            mask = data.draw(st.integers(1, 255), label="mask")
-            blob = blob[:at] + bytes([blob[at] ^ mask]) + blob[at + 1:]
-        path.write_bytes(blob)
+        path.write_bytes(damaged(path.read_bytes(), data))
         try:
             table = load_embeddings(path)
         except ValueError as exc:

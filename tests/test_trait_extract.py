@@ -1,8 +1,14 @@
+import csv
+import io
 import math
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embprobe.perturbation import speed_perturb
 from embprobe.rng import make_rng
@@ -12,6 +18,8 @@ from embprobe.trait_extract import (TraitValues, UnvoicedAudioError, Waveform,
                                     f0_mean, power_spectrogram, read_trait_csv,
                                     read_wav, snr_estimate, speaking_rate,
                                     write_trait_csv, write_wav)
+
+from conftest import damaged
 
 
 # --- wav io ---
@@ -429,6 +437,90 @@ def test_trait_csv_invalid_utf8_names_path(tmp_path):
     with pytest.raises(ValueError, match="not UTF-8") as info:
         read_trait_csv(path)
     assert str(path) in str(info.value)
+
+
+def test_trait_csv_cr_in_utt_id_reads_back(tmp_path):
+    values = {"U\r1": TraitValues(duration=1.0), "U\r\n2": TraitValues(snr=-2.5)}
+    path = tmp_path / "traits.csv"
+    write_trait_csv(values, path)
+    assert read_trait_csv(path) == values
+
+
+def test_trait_csv_field_over_csv_limit_names_the_file(tmp_path):
+    path = tmp_path / "traits.csv"
+    path.write_text("utt_id,f0_mean,speaking_rate,duration,snr\n\"" + "x" * 140_000 + "\n")
+    with pytest.raises(ValueError, match="line 2: field larger than field limit") as info:
+        read_trait_csv(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_trait_csv_field_count_names_the_count(tmp_path):
+    path = tmp_path / "traits.csv"
+    path.write_text("utt_id,f0_mean,speaking_rate,duration,snr\nU1,1.0\n")
+    with pytest.raises(ValueError) as info:
+        read_trait_csv(path)
+    assert str(info.value) == f"{path}: line 2: expected 5 fields, got 2"
+
+
+TEXT = st.text(st.sampled_from(',"\r\n é') | st.characters(blacklist_categories=("Cs",)),
+               max_size=8)
+VALUE = st.none() | st.floats(min_value=0.0, allow_infinity=False)
+TRAIT_TABLES = st.dictionaries(TEXT, st.builds(
+    TraitValues, duration=VALUE, f0_mean=VALUE, speaking_rate=VALUE,
+    snr=st.none() | st.floats(allow_nan=False, allow_infinity=False)), min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=TRAIT_TABLES)
+def test_trait_csv_write_read_write_is_byte_stable(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+        write_trait_csv(values, first)
+        loaded = read_trait_csv(first)
+        write_trait_csv(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+    assert loaded == values
+
+
+def _reference_trait_csv(values) -> bytes:
+    """write_trait_csv as it was, on csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("utt_id", "f0_mean", "speaking_rate", "duration", "snr"))
+    for utt, tv in values.items():
+        writer.writerow([utt, *("" if v is None else repr(float(v))
+                                for v in (tv.f0_mean, tv.speaking_rate, tv.duration, tv.snr))])
+    return buf.getvalue().encode("utf-8")
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=TRAIT_TABLES)
+def test_trait_csv_bytes_match_csv_writer_without_cr(values):
+    """Only a utt_id holding CR, which csv.writer left unquoted, is written anew."""
+    values = {utt.replace("\r", ""): tv for utt, tv in values.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write_trait_csv(values, path)
+        assert path.read_bytes() == _reference_trait_csv(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=TRAIT_TABLES, data=st.data())
+def test_trait_csv_truncation_or_byte_flip_loads_or_names_path(values, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.csv"
+        write_trait_csv(values, path)
+        path.write_bytes(damaged(path.read_bytes(), data))
+        try:
+            loaded = read_trait_csv(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+        else:
+            for tv in loaded.values():
+                for column in ("duration", "f0_mean", "speaking_rate", "snr"):
+                    value = getattr(tv, column)
+                    assert value is None or (math.isfinite(value)
+                                             and (value >= 0 or column == "snr"))
 
 
 def test_extract_traits_records_failures():
