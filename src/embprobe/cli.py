@@ -28,7 +28,7 @@ from .data_model import (ATTACK_TRAITS, META_TRAITS, PartitionScheme, TraitTask,
                          partition, write_embeddings, write_manifest)
 from .distance_analysis import (bonafide_spoof_pairing, check_bins, read_frames,
                                 summarize_by_gender, write_distance_records)
-from .fileio import write_json
+from .fileio import read_json, reading, write_json
 from .metrics import check_resampling, classification_result, regression_result
 from .perturbation import (DEFAULT_RATES, check_rate, run_sweep, speed_perturb,
                            write_score_file)
@@ -226,6 +226,13 @@ def check_config(resolved: dict) -> dict:
     cfg = _typed(SCHEMA, resolved, "")
     for i, task in enumerate(cfg["tasks"]):
         _checked(f"tasks[{i}]", validate_task, task)
+    audio = cfg["synth"] and cfg["synth"]["audio"]
+    if audio:  # cmd_synth's tones span freq_base +/- 3 |freq_scale| with a freq_trait
+        base, sr = audio["freq_base"], audio["sr"]
+        spread = 3.0 * abs(audio["freq_scale"]) if audio["freq_trait"] else 0.0
+        _checked("synth.audio.freq_base", synth.check_frequency, base, sr)
+        for freq in (base - spread, base + spread):
+            _checked("synth.audio.freq_scale", synth.check_frequency, freq, sr)
     return cfg
 
 
@@ -239,16 +246,10 @@ def _deep_merge(base, override):
 
 
 def load_config(path) -> dict:
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    if path.suffix == ".json":
-        doc = json.loads(text)
-    else:
-        import yaml  # JSON configs skip its import cost
-        doc = yaml.safe_load(text)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: config must be a mapping")
-    return doc
+    if Path(path).suffix == ".json":
+        return read_json(path)
+    import yaml  # JSON configs skip its import cost
+    return read_json(path, yaml.safe_load)
 
 
 def resolve_config(doc: dict, outdir=None, seed=None) -> dict:
@@ -398,8 +399,12 @@ def _load_split(cfg: dict, scheme: str) -> tuple[list[str], list[str]]:
     path = _resolve_path(cfg, f"splits/{scheme}.json")
     if not path.exists():
         raise ValueError(f"split file missing for scheme {scheme}: run `partition` first")
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    return list(doc["train"]), list(doc["eval"])
+    with reading(path):
+        doc = read_json(path)
+        if not all(isinstance(doc.get(key), list) and all(isinstance(u, str) for u in doc[key])
+                   for key in ("train", "eval")):
+            raise ValueError("expected 'train' and 'eval' lists of utt_ids")
+        return doc["train"], doc["eval"]
 
 
 def _run_probe_task(cfg, manifest, tables, traits, system, task):
@@ -624,7 +629,7 @@ def cmd_report(resolved: dict, cfg: dict) -> list[dict]:
                        ("sweep", "sweep_eer.json")):
         path = _resolve_path(cfg, fname)
         if path.exists():
-            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc = read_json(path)
             report[key] = doc.get("tasks", doc) if fname == "probe_report.json" else doc
     write_json(_resolve_path(cfg, "report.json"), report)
     return []
@@ -657,11 +662,12 @@ def main(argv=None) -> int:
         sub.add_parser(name, parents=[common])
     args = parser.parse_args(argv)
 
-    resolved = resolve_config(load_config(args.config), outdir=args.outdir, seed=args.seed)
-    failures_path = Path(str(resolved["outdir"]), "failures.json")  # even if outdir is bad
-    failures_path.unlink(missing_ok=True)  # a successful rerun leaves none behind
-
+    # a config that does not load leaves its failure under --outdir or the default
+    failures_path = Path(args.outdir or _default(SCHEMA["outdir"]), "failures.json")
     try:
+        resolved = resolve_config(load_config(args.config), outdir=args.outdir, seed=args.seed)
+        failures_path = Path(str(resolved["outdir"]), "failures.json")  # even if outdir is bad
+        failures_path.unlink(missing_ok=True)  # a successful rerun leaves none behind
         cfg = check_config(resolved)
         if args.command == "probe":
             failures = cmd_probe(resolved, cfg, jobs=max(1, args.jobs))

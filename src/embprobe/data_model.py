@@ -1,7 +1,6 @@
 """Manifests, embedding tables, label spaces, and dataset partitioning."""
 from __future__ import annotations
 
-import io
 import json
 import math
 import struct
@@ -11,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import (atomic_write_bytes, atomic_write_text, read_csv, read_utf8_text,
+from .fileio import (atomic_write_bytes, atomic_write_text, read_csv, read_jsonl, reading,
                      write_csv)
 from .rng import make_rng
 
@@ -111,38 +110,18 @@ def _json_cell(obj: dict, key: str, where: str) -> str:
     raise ValueError(f"{where}: field {key!r} must be a string, a number or a boolean")
 
 
-def _read_manifest_jsonl(path: Path) -> list[ManifestRow]:
-    rows = []
-    # newline=None splits lines the way a file opened in text mode does
-    for lineno, line in enumerate(io.StringIO(read_utf8_text(path), newline=None), start=1):
-        if not line.strip():
-            continue
-        where = f"{path}: line {lineno}"
-        try:
-            obj = json.loads(line)
-        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-            raise ValueError(f"{where}: bad JSON ({getattr(exc, 'msg', exc)})") from None
-        if not isinstance(obj, dict):
-            raise ValueError(f"{where}: expected an object")
-        rows.append(_manifest_row([_json_cell(obj, key, where) for key in MANIFEST_COLUMNS],
-                                  where))
-    return rows
-
-
 def load_manifest(path) -> Manifest:
-    """Load and validate a manifest: JSON lines for a .jsonl or .ndjson
-    suffix, CSV otherwise. Any fault raises ValueError naming `path`."""
+    """Load and validate a manifest: JSON lines for a .jsonl or .ndjson suffix, CSV otherwise."""
     path = Path(path)
-    if path.suffix in MANIFEST_JSONL_SUFFIXES:
-        rows = _read_manifest_jsonl(path)
-    else:
-        rows = [_manifest_row(rec, where) for where, rec in read_csv(path, MANIFEST_COLUMNS)]
-    if not rows:
-        raise ValueError(f"{path}: empty manifest")
-    try:
+    with reading(path):
+        if path.suffix in MANIFEST_JSONL_SUFFIXES:
+            rows = [_manifest_row([_json_cell(obj, key, where) for key in MANIFEST_COLUMNS], where)
+                    for where, obj in read_jsonl(path)]
+        else:
+            rows = [_manifest_row(rec, where) for where, rec in read_csv(path, MANIFEST_COLUMNS)]
+        if not rows:
+            raise ValueError("empty manifest")
         return Manifest(rows=tuple(rows))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_manifest(manifest: Manifest, path) -> None:
@@ -203,28 +182,23 @@ class EmbeddingTable:
 
 def _read_emb_binary(path: Path) -> tuple[list[str], np.ndarray]:
     data = path.read_bytes()
-    if len(data) < 12 or data[:4] != EMB_MAGIC:
-        raise ValueError(f"{path}: bad magic (not an EMB1 file)")
+    if data[:4] != EMB_MAGIC:
+        raise ValueError("bad magic (not an EMB1 file)")
     dim, count = struct.unpack_from("<II", data, 4)
     pos = 12
     ids: list[str] = []
     vectors: list[bytes] = []
-    for _ in range(count):
-        if pos + 2 > len(data):
-            raise ValueError(f"{path}: truncated file")
+    for _ in range(count):  # a short read raises struct.error: truncated file
         (nlen,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        if pos + nlen + 4 * dim > len(data):
-            raise ValueError(f"{path}: truncated file")
+        utt, vector = struct.unpack_from(f"<{nlen}s{4 * dim}s", data, pos + 2)
         try:
-            ids.append(data[pos:pos + nlen].decode("utf-8"))
+            ids.append(utt.decode("utf-8"))
         except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: utt_id at byte {pos} is not UTF-8 ({exc.reason})") from None
-        pos += nlen
-        vectors.append(data[pos:pos + 4 * dim])
-        pos += 4 * dim
+            raise ValueError(f"utt_id at byte {pos + 2} is not UTF-8 ({exc.reason})") from None
+        vectors.append(vector)
+        pos += 2 + nlen + 4 * dim
     if pos != len(data):
-        raise ValueError(f"{path}: trailing bytes after {count} records")
+        raise ValueError(f"trailing bytes after {count} records")
     return ids, np.frombuffer(b"".join(vectors), dtype="<f4").reshape(count, dim)
 
 
@@ -248,14 +222,11 @@ def _read_emb_csv(path: Path) -> tuple[list[str], np.ndarray]:
 
 
 def load_embeddings(path) -> EmbeddingTable:
-    """Load an embedding table: CSV for a .csv suffix, EMB1 otherwise; any
-    fault in the file raises ValueError naming `path`."""
+    """Load an embedding table: CSV for a .csv suffix, EMB1 otherwise."""
     path = Path(path)
-    ids, matrix = (_read_emb_csv if path.suffix == EMB_CSV_SUFFIX else _read_emb_binary)(path)
-    try:
+    with reading(path):
+        ids, matrix = (_read_emb_csv if path.suffix == EMB_CSV_SUFFIX else _read_emb_binary)(path)
         return EmbeddingTable(ids=tuple(ids), matrix=matrix)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_embeddings(table: EmbeddingTable, path) -> None:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .data_model import Manifest
-from .fileio import atomic_write_bytes, write_csv
+from .fileio import atomic_write_bytes, reading, write_csv
 from .trait_extract import SpectralFrames
 
 FRM_MAGIC = b"FRM1"
@@ -212,19 +212,21 @@ def write_frames(frames, path) -> None:
 
 
 def read_frames(path) -> np.ndarray:
-    path = Path(path)
-    data = path.read_bytes()
-    if len(data) < 12 or data[:4] != FRM_MAGIC:
-        raise ValueError(f"{path}: bad magic (not an FRM1 file)")
-    n, b = struct.unpack_from("<II", data, 4)
-    expected = 12 + 4 * n * b
-    if len(data) != expected:
-        raise ValueError(f"{path}: truncated file (expected {expected} bytes, got {len(data)})")
-    arr = np.frombuffer(data, dtype="<f4", count=n * b, offset=12)
-    arr = arr.astype(np.float64).reshape(n, b)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{path}: non-finite value")
-    return arr
+    with reading(path):
+        data = Path(path).read_bytes()
+        if data[:4] != FRM_MAGIC:
+            raise ValueError("bad magic (not an FRM1 file)")
+        n, b = struct.unpack_from("<II", data, 4)
+        if n == 0 or b == 0:
+            raise ValueError(f"empty frame matrix ({n} frames x {b} bins)")
+        expected = 12 + 4 * n * b
+        if len(data) != expected:
+            raise ValueError(f"truncated file (expected {expected} bytes, got {len(data)})")
+        arr = np.frombuffer(data, dtype="<f4", count=n * b, offset=12)
+        arr = arr.astype(np.float64).reshape(n, b)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("non-finite value")
+        return arr
 
 
 DISTANCE_CSV_COLUMNS = ("bonafide_utt", "speaker_id", "gender", "representation", "mean_distance")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import atomic_write_text, read_utf8_text, write_csv, write_json
+from .fileio import atomic_write_text, read_utf8_text, reading, write_csv, write_json
 from .metrics import EERResult, eer
 from .trait_extract import Waveform
 
@@ -108,31 +108,31 @@ def speed_perturb(w: Waveform, rate: float) -> Waveform:
 
 def read_score_file(path) -> list[ScoreRow]:
     """Whitespace-separated `utt_id score label` with label bonafide|spoof."""
-    path = Path(path)
     rows: list[ScoreRow] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(read_utf8_text(path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        where = f"{path}: line {lineno}"
-        if len(parts) != 3:
-            raise ValueError(f"{where}: expected 'utt_id score label'")
-        utt, score_text, label = parts
-        if label not in ("bonafide", "spoof"):
-            raise ValueError(f"{where}: bad label {label!r}")
-        try:
-            score = float(score_text)
-        except ValueError:
-            raise ValueError(f"{where}: bad score {score_text!r}") from None
-        if not math.isfinite(score):
-            raise ValueError(f"{where}: non-finite score")
-        if utt in seen:
-            raise ValueError(f"{where}: duplicate utt_id {utt!r}")
-        seen.add(utt)
-        rows.append(ScoreRow(utt_id=utt, score=score, is_bonafide=label == "bonafide"))
-    if not rows:
-        raise ValueError(f"{path}: empty score file")
+    with reading(path):
+        for lineno, line in enumerate(read_utf8_text(path).splitlines(), start=1):
+            if not line.strip():
+                continue
+            parts = line.split()
+            where = f"line {lineno}"
+            if len(parts) != 3:
+                raise ValueError(f"{where}: expected 'utt_id score label'")
+            utt, score_text, label = parts
+            if label not in ("bonafide", "spoof"):
+                raise ValueError(f"{where}: bad label {label!r}")
+            try:
+                score = float(score_text)
+            except ValueError:
+                raise ValueError(f"{where}: bad score {score_text!r}") from None
+            if not math.isfinite(score):
+                raise ValueError(f"{where}: non-finite score")
+            if utt in seen:
+                raise ValueError(f"{where}: duplicate utt_id {utt!r}")
+            seen.add(utt)
+            rows.append(ScoreRow(utt_id=utt, score=score, is_bonafide=label == "bonafide"))
+        if not rows:
+            raise ValueError("empty score file")
     return rows
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import atomic_write_bytes
+from .fileio import atomic_write_bytes, reading
 from .rng import make_rng
 
 PRB_MAGIC = b"PRB1"
@@ -374,58 +374,45 @@ def save_probe(probe: MLPProbe, path) -> None:
 
 
 def load_probe(path) -> MLPProbe:
-    """Read a PRB1 file into a float32 probe holding exactly the stored
-    parameters; any malformed input raises ValueError naming `path`."""
-    data = Path(path).read_bytes()
-    if len(data) < 17 or data[:4] != PRB_MAGIC:
-        raise ValueError(f"{path}: bad magic (not a PRB1 file)")
-    try:
-        return _parse_probe(data, path)
-    except struct.error:
-        raise ValueError(f"{path}: truncated file") from None
-    except UnicodeDecodeError:
-        raise ValueError(f"{path}: class name is not UTF-8") from None
-
-
-def _parse_probe(data: bytes, path) -> MLPProbe:
-    (kind_code,) = struct.unpack_from("<B", data, 4)
-    if kind_code not in (0, 1):
-        raise ValueError(f"{path}: unknown task kind code {kind_code}")
-    kind = "classification" if kind_code == 0 else "regression"
-    input_dim, hidden_dim, output_dim = struct.unpack_from("<III", data, 5)
-    if min(input_dim, hidden_dim, output_dim) < 1:
-        raise ValueError(f"{path}: zero dimension")
-    (n_classes,) = struct.unpack_from("<I", data, 17)
-    # a classification probe records one name per output or none at all
-    if kind == "classification" and n_classes not in (0, output_dim):
-        raise ValueError(f"{path}: {n_classes} class names for {output_dim} outputs")
-    if kind == "regression" and (n_classes != 0 or output_dim != 1):
-        raise ValueError(f"{path}: regression probe with {output_dim} outputs "
-                         f"and {n_classes} class names")
-    pos = 21
-    classes: list[str] = []
-    for _ in range(n_classes):
-        (nlen,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        classes.append(data[pos:pos + nlen].decode("utf-8"))
-        pos += nlen
-    target_mean, target_std = struct.unpack_from("<dd", data, pos)
-    pos += 16
-    if not (math.isfinite(target_mean) and math.isfinite(target_std)):
-        raise ValueError(f"{path}: non-finite target statistics")
-    shapes = _param_shapes(input_dim, hidden_dim, output_dim)
-    count = sum(math.prod(shape) for shape in shapes.values())
-    if pos + 4 * count > len(data):
-        raise ValueError(f"{path}: truncated parameter block")
-    if pos + 4 * count != len(data):
-        raise ValueError(f"{path}: trailing bytes")
-    # a read-only view of `data`; MLPProbe copies it into a float32 theta of its own
-    theta = np.frombuffer(data, dtype="<f4", count=count, offset=pos)
-    for name, value in _split_params(theta, shapes).items():
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"{path}: non-finite parameter in {name}")
-    return MLPProbe(
-        input_dim=input_dim, hidden_dim=hidden_dim, output_dim=output_dim,
-        task_kind=kind, theta=theta, classes=tuple(classes) or None,
-        target_mean=target_mean, target_std=target_std,
-    )
+    """Read a PRB1 file into a float32 probe holding exactly the stored parameters."""
+    with reading(path):
+        data = Path(path).read_bytes()
+        if data[:4] != PRB_MAGIC:
+            raise ValueError("bad magic (not a PRB1 file)")
+        code, input_dim, hidden_dim, output_dim, n_classes = struct.unpack_from("<BIIII", data, 4)
+        if code not in (0, 1):
+            raise ValueError(f"unknown task kind code {code}")
+        kind = "classification" if code == 0 else "regression"
+        if min(input_dim, hidden_dim, output_dim) < 1:
+            raise ValueError("zero dimension")
+        # a classification probe records one name per output or none at all
+        if kind == "classification" and n_classes not in (0, output_dim):
+            raise ValueError(f"{n_classes} class names for {output_dim} outputs")
+        if kind == "regression" and (n_classes != 0 or output_dim != 1):
+            raise ValueError(f"regression probe with {output_dim} outputs "
+                             f"and {n_classes} class names")
+        pos = 21
+        classes: list[str] = []
+        for _ in range(n_classes):
+            (nlen,) = struct.unpack_from("<H", data, pos)
+            classes.append(struct.unpack_from(f"<{nlen}s", data, pos + 2)[0].decode("utf-8"))
+            pos += 2 + nlen
+        target_mean, target_std = struct.unpack_from("<dd", data, pos)
+        pos += 16
+        if not (math.isfinite(target_mean) and math.isfinite(target_std)):
+            raise ValueError("non-finite target statistics")
+        shapes = _param_shapes(input_dim, hidden_dim, output_dim)
+        count = sum(math.prod(shape) for shape in shapes.values())
+        (params,) = struct.unpack_from(f"<{4 * count}s", data, pos)
+        if pos + 4 * count != len(data):
+            raise ValueError("trailing bytes")
+        # read-only; MLPProbe copies it into a float32 theta of its own
+        theta = np.frombuffer(params, dtype="<f4")
+        for name, value in _split_params(theta, shapes).items():
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"non-finite parameter in {name}")
+        return MLPProbe(
+            input_dim=input_dim, hidden_dim=hidden_dim, output_dim=output_dim,
+            task_kind=kind, theta=theta, classes=tuple(classes) or None,
+            target_mean=target_mean, target_std=target_std,
+        )

@@ -154,12 +154,18 @@ def check_positive(**values) -> None:
             raise ValueError(f"{name} must be positive")
 
 
+def check_frequency(freq: float, sr: int) -> None:
+    """Raise ValueError unless a tone of `freq` Hz lies in (0, Nyquist) at
+    sample rate `sr`."""
+    if freq <= 0 or freq >= sr / 2:
+        raise ValueError(f"frequency {freq:g} must lie in (0, Nyquist={sr / 2})")
+
+
 def gen_tone(freq: float, dur: float, sr: int = 16000,
              amplitude: float = 0.5) -> Waveform:
     """Pure sine of `dur` seconds starting at phase 0."""
     check_positive(duration_s=dur, sr=sr)
-    if freq <= 0 or freq >= sr / 2:
-        raise ValueError(f"frequency must lie in (0, Nyquist={sr / 2})")
+    check_frequency(freq, sr)
     n = int(round(dur * sr))
     t = np.arange(n) / sr
     return Waveform(samples=amplitude * np.sin(2.0 * math.pi * freq * t), sample_rate=sr)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import atomic_write_bytes, read_csv, write_csv
+from .fileio import atomic_write_bytes, read_csv, reading, write_csv
 
 POWER_FLOOR = 1e-10
 
@@ -63,40 +63,37 @@ def read_wav(path) -> Waveform:
 
     Samples are scaled by 1/32768 into [-1, 1).
     """
-    path = Path(path)
-    data = path.read_bytes()
-    if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise ValueError(f"{path}: not a RIFF/WAVE file")
-    fmt = None
-    raw = None
-    pos = 12
-    while pos + 8 <= len(data):
-        chunk_id = data[pos:pos + 4]
-        (size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8:pos + 8 + size]
-        if len(body) != size:
-            raise ValueError(f"{path}: truncated chunk {chunk_id!r}")
-        if chunk_id == b"fmt ":
-            if size < 16:
-                raise ValueError(f"{path}: malformed fmt chunk")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
-        elif chunk_id == b"data":
-            raw = body
-        pos += 8 + size + (size % 2)
-    if fmt is None or raw is None:
-        raise ValueError(f"{path}: missing fmt or data chunk")
-    audio_format, channels, sample_rate, _, _, bits = fmt
-    if audio_format != 1 or bits != 16:
-        raise ValueError(
-            f"{path}: unsupported encoding (need 16-bit PCM, got format={audio_format}, bits={bits})")
-    if channels not in (1, 2):
-        raise ValueError(f"{path}: unsupported channel count {channels}")
-    if len(raw) % (2 * channels) != 0:
-        raise ValueError(f"{path}: truncated chunk b'data'")
-    x = np.frombuffer(raw, dtype="<i2").astype(np.float64)
-    if channels == 2:
-        x = x.reshape(-1, 2).mean(axis=1)
-    return Waveform(samples=x / 32768.0, sample_rate=int(sample_rate))
+    with reading(path):
+        data = Path(path).read_bytes()
+        if data[:4] != b"RIFF" or data[8:12] != b"WAVE":
+            raise ValueError("not a RIFF/WAVE file")
+        fmt = None
+        raw = None
+        pos = 12
+        while pos + 8 <= len(data):
+            chunk_id, size = struct.unpack_from("<4sI", data, pos)
+            body = data[pos + 8:pos + 8 + size]
+            if len(body) != size:
+                raise ValueError(f"truncated chunk {chunk_id!r}")
+            if chunk_id == b"fmt ":  # under 16 bytes, a short read: truncated file
+                fmt = struct.unpack_from("<HHIIHH", body, 0)
+            elif chunk_id == b"data":
+                raw = body
+            pos += 8 + size + (size % 2)
+        if fmt is None or raw is None:
+            raise ValueError("missing fmt or data chunk")
+        audio_format, channels, sample_rate, _, _, bits = fmt
+        if audio_format != 1 or bits != 16:
+            raise ValueError(
+                f"unsupported encoding (need 16-bit PCM, got format={audio_format}, bits={bits})")
+        if channels not in (1, 2):
+            raise ValueError(f"unsupported channel count {channels}")
+        if len(raw) % (2 * channels) != 0:
+            raise ValueError("truncated chunk b'data'")
+        x = np.frombuffer(raw, dtype="<i2").astype(np.float64)
+        if channels == 2:
+            x = x.reshape(-1, 2).mean(axis=1)
+        return Waveform(samples=x / 32768.0, sample_rate=int(sample_rate))
 
 
 def write_wav(path, w: Waveform) -> None:
@@ -399,10 +396,10 @@ def _trait_cell(cell: str, where: str, column: str) -> float | None:
 
 
 def read_trait_csv(path) -> dict[str, TraitValues]:
-    path = Path(path)
-    out = {rec[0]: TraitValues(**{column: _trait_cell(cell, where, column)
-                                  for column, cell in zip(TRAIT_CSV_COLUMNS[1:], rec[1:])})
-           for where, rec in read_csv(path, TRAIT_CSV_COLUMNS)}
-    if not out:
-        raise ValueError(f"{path}: empty trait file")
-    return out
+    with reading(path):
+        out = {rec[0]: TraitValues(**{column: _trait_cell(cell, where, column)
+                                      for column, cell in zip(TRAIT_CSV_COLUMNS[1:], rec[1:])})
+               for where, rec in read_csv(path, TRAIT_CSV_COLUMNS)}
+        if not out:
+            raise ValueError("empty trait file")
+        return out

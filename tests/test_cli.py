@@ -572,6 +572,91 @@ def test_successful_rerun_removes_failures_file(tmp_path):
     assert not (outdir / "failures.json").exists()
 
 
+@pytest.mark.parametrize("outdir", [None, "elsewhere"], ids=["default outdir", "--outdir"])
+@pytest.mark.parametrize("name, text", [
+    ("missing.json", None),
+    ("bad.json", '{"outdir": "out",'),
+    ("bad.yaml", "outdir: [out\n"),
+    ("list.yaml", "- outdir\n"),
+], ids=["missing", "invalid JSON", "YAML syntax", "not a mapping"])
+def test_config_that_does_not_load_writes_failures(tmp_path, monkeypatch, name, text, outdir):
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        Path(name).write_text(text)
+    failures_path = Path(outdir or "out", "failures.json")
+    failures_path.parent.mkdir()
+    failures_path.write_text('{"command": "probe", "failures": []}\n')  # an earlier run's
+    assert main(["report", "--config", name] + (["--outdir", outdir] if outdir else [])) == 1
+    failures = json.loads(failures_path.read_text())
+    assert failures["command"] == "report"
+    assert name in failures["failures"][0]["error"]
+    assert sorted(p.as_posix() for p in Path().rglob("*") if p.name != name) == [
+        failures_path.parent.as_posix(), failures_path.as_posix()]
+
+
+def _partitioned_run(tmp_path):
+    outdir = tmp_path / "out"
+    cfg = pipeline_config(outdir)
+    cfg["synth"].update(n_speakers=4, utts_per_speaker=4)
+    cfg["synth"].pop("audio")
+    cfg["tasks"] = [{"trait": "gender", "kind": "classification", "scheme": "T02"}]
+    cfg["train"]["epochs"] = 2
+    cfg_path = write_config(tmp_path, cfg)
+    assert run("synth", cfg_path) == 0
+    assert run("partition", cfg_path) == 0
+    return outdir, cfg_path
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({}, "expected 'train' and 'eval' lists of utt_ids"),
+    ({"train": 5, "eval": []}, "expected 'train' and 'eval' lists of utt_ids"),
+    ([1], "expected a mapping, got list"),
+], ids=["empty", "train not a list", "a list"])
+def test_malformed_split_file_fails_its_task_naming_the_file(tmp_path, doc, message):
+    outdir, cfg_path = _partitioned_run(tmp_path)
+    split = outdir / "splits" / "T02.json"
+    split.write_text(json.dumps(doc))
+    assert run("probe", cfg_path) == 1
+    (failure,) = json.loads((outdir / "failures.json").read_text())["failures"]
+    assert failure["status"] == "failed"
+    assert failure["error"] == f"{split}: {message}"
+
+
+@pytest.mark.parametrize("fname", ["probe_report.json", "distance_summary.json",
+                                   "sweep_eer.json"])
+def test_report_rejects_a_sub_report_that_is_not_an_object(tmp_path, fname):
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    (outdir / fname).write_text("[1]\n")
+    assert run("report", write_config(tmp_path, pipeline_config(outdir))) == 1
+    error = json.loads((outdir / "failures.json").read_text())["failures"][0]["error"]
+    assert error == f"{outdir / fname}: expected a mapping, got list"
+    assert not (outdir / "report.json").exists()
+
+
+@pytest.mark.parametrize("audio, key", [
+    ({"sr": 8000, "freq_base": 3000.0, "freq_scale": 1000.0}, "synth.audio.freq_scale"),
+    ({"sr": 8000, "freq_base": 4000.0, "freq_scale": 0.0}, "synth.audio.freq_base"),
+    ({"freq_base": 100.0, "freq_scale": -40.0}, "synth.audio.freq_scale"),
+], ids=["above Nyquist", "base at Nyquist", "below zero"])
+def test_tone_frequency_range_fails_before_any_file(tmp_path, audio, key):
+    cfg = pipeline_config(tmp_path / "out")
+    cfg["synth"]["audio"].update(audio)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["synth", "--config", str(cfg_path)]) == 1
+    error = json.loads((tmp_path / "out" / "failures.json").read_text())["failures"][0]["error"]
+    assert error.startswith(f"config key {key!r}: frequency ")
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "out", "out/failures.json", "run.json"]
+
+
+def test_tone_frequency_spread_needs_a_freq_trait(tmp_path):
+    cfg = pipeline_config(tmp_path / "out")
+    cfg["synth"]["audio"].update(sr=8000, freq_base=3000.0, freq_scale=1000.0, freq_trait=None)
+    check_config(resolve_config(cfg))  # every tone is freq_base
+
+
 def _small_distance_run(tmp_path):
     outdir = tmp_path / "out"
     cfg = pipeline_config(outdir)

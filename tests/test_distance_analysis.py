@@ -1,8 +1,13 @@
 import math
+import struct
+import tempfile
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embprobe.data_model import Manifest
 from embprobe.distance_analysis import (PairedDistanceRecord,
@@ -13,7 +18,7 @@ from embprobe.distance_analysis import (PairedDistanceRecord,
                                         write_distance_records, write_frames)
 from embprobe.rng import make_rng
 
-from conftest import make_row
+from conftest import damaged, make_row
 
 
 # --- itakura-saito ---
@@ -378,6 +383,50 @@ def test_frm1_truncated(tmp_path, rng):
     path.write_bytes(path.read_bytes()[:-3])
     with pytest.raises(ValueError, match="truncated"):
         read_frames(path)
+
+
+@pytest.mark.parametrize("n, b", [(0, 4), (4, 0)], ids=["no frames", "no bins"])
+def test_frm1_empty_matrix_names_path(tmp_path, n, b):
+    path = tmp_path / "e.frm"
+    path.write_bytes(b"FRM1" + struct.pack("<II", n, b))
+    with pytest.raises(ValueError) as info:
+        read_frames(path)
+    assert str(info.value) == f"{path}: empty frame matrix ({n} frames x {b} bins)"
+
+
+# f32 values, so that FRM1 stores each exactly
+FRAME_MATRICES = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda shape: st.lists(st.floats(min_value=0.0, allow_infinity=False, width=32),
+                           min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
+    .map(lambda values: np.array(values).reshape(shape)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(frames=FRAME_MATRICES)
+def test_frm1_write_read_write_is_byte_stable(frames):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.frm", Path(tmp) / "b.frm"
+        write_frames(frames, first)
+        loaded = read_frames(first)
+        write_frames(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+    assert np.array_equal(loaded, frames)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames=FRAME_MATRICES, data=st.data())
+def test_frm1_truncation_or_byte_flip_loads_or_names_path(frames, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.frm"
+        write_frames(frames, path)
+        path.write_bytes(damaged(path.read_bytes(), data))
+        try:
+            loaded = read_frames(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+        else:
+            assert loaded.ndim == 2 and min(loaded.shape) >= 1
+            assert np.all(np.isfinite(loaded))
 
 
 def test_distance_records_csv(tmp_path):

@@ -3,14 +3,16 @@ against frozen copies of the writers they replaced."""
 import csv
 import io
 import json
+import struct
 import tempfile
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embprobe.fileio import read_csv, write_csv, write_json
+from embprobe.fileio import read_csv, reading, write_csv, write_json
 
 
 def _reference_csv(rows) -> bytes:
@@ -72,7 +74,7 @@ def test_read_csv_numbers_records_and_skips_blank_ones(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(b'a,b\n1,"two\nlines"\n\n3,4\n')
     assert list(read_csv(path, ("a", "b"))) == [
-        (f"{path}: line 2", ["1", "two\nlines"]), (f"{path}: line 4", ["3", "4"])]
+        ("line 2", ["1", "two\nlines"]), ("line 4", ["3", "4"])]
 
 
 @pytest.mark.parametrize("text, message", [
@@ -88,3 +90,32 @@ def test_read_csv_faults_name_path_and_line(tmp_path, text, message):
         list(read_csv(path, ("a", "b")))
     assert str(info.value).startswith(f"{path}: ")
     assert message in str(info.value)
+
+
+def _raise(fault):
+    raise fault
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda: _raise(ValueError("bad value")), "bad value"),
+    (lambda: struct.unpack_from("<I", b"\x00"), "truncated file"),
+    (lambda: b"\xff".decode("utf-8"), "not UTF-8 text (invalid start byte)"),
+    (lambda: yaml.safe_load("a: [b"), "while parsing a flow sequence"),
+], ids=["ValueError", "struct.error", "UnicodeDecodeError", "YAMLError"])
+def test_reading_names_the_innermost_file_once(tmp_path, fault, message):
+    outer, inner = tmp_path / "outer.csv", tmp_path / "inner.csv"
+    with pytest.raises(ValueError) as info:
+        with reading(outer):
+            with reading(inner):
+                fault()
+    assert str(info.value).startswith(f"{inner}: {message}")
+    assert str(info.value).count(str(tmp_path)) == 1
+
+
+def test_reading_leaves_other_faults_alone(tmp_path):
+    with pytest.raises(KeyError):
+        with reading(tmp_path / "t.json"):
+            _raise(KeyError("train"))
+    with pytest.raises(FileNotFoundError):
+        with reading(tmp_path / "missing.json"):
+            (tmp_path / "missing.json").read_bytes()

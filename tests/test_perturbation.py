@@ -1,8 +1,12 @@
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embprobe import perturbation
 from embprobe.perturbation import (HALF_TAPS, KAISER_BETA, MAX_RATE_DENOMINATOR, ScoreRow,
@@ -10,6 +14,8 @@ from embprobe.perturbation import (HALF_TAPS, KAISER_BETA, MAX_RATE_DENOMINATOR,
                                    write_score_file)
 from embprobe.synth import gen_scores, gen_tone
 from embprobe.trait_extract import Waveform, f0_mean
+
+from conftest import damaged
 
 
 # --- speed perturbation ---
@@ -253,6 +259,42 @@ def test_score_file_invalid_utf8_names_path(tmp_path):
     with pytest.raises(ValueError, match="not UTF-8") as info:
         read_score_file(path)
     assert str(path) in str(info.value)
+
+
+# one whitespace-free token per utt_id, as the format requires
+SCORE_ROWS = st.lists(st.builds(
+    ScoreRow, utt_id=st.text(st.characters(blacklist_categories=("Cs",)), min_size=1)
+    .filter(lambda text: text.split() == [text]),
+    score=st.floats(allow_nan=False, allow_infinity=False), is_bonafide=st.booleans()),
+    min_size=1, max_size=5, unique_by=lambda row: row.utt_id)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=SCORE_ROWS)
+def test_score_file_write_read_write_is_byte_stable(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.txt", Path(tmp) / "b.txt"
+        write_score_file(rows, first)
+        loaded = read_score_file(first)
+        write_score_file(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+    assert loaded == rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=SCORE_ROWS, data=st.data())
+def test_score_file_truncation_or_byte_flip_loads_or_names_path(rows, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.txt"
+        write_score_file(rows, path)
+        path.write_bytes(damaged(path.read_bytes(), data))
+        try:
+            loaded = read_score_file(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+        else:
+            assert loaded and all(math.isfinite(row.score) for row in loaded)
+            assert len({row.utt_id for row in loaded}) == len(loaded)
 
 
 # --- sweep ---

@@ -53,6 +53,53 @@ def _wav_bytes(audio_format=1, channels=1, sr=16000, bits=16, payload=b"\x00\x00
     return header + payload
 
 
+@pytest.mark.parametrize("wav, message", [
+    (_wav_bytes(sr=0), "sample_rate must be positive"),
+    (_wav_bytes(payload=b""), "waveform must be a non-empty 1-D signal"),
+], ids=["sample rate 0", "empty data chunk"])
+def test_wav_waveform_checks_name_the_file(tmp_path, wav, message):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(wav)
+    with pytest.raises(ValueError) as info:
+        read_wav(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+# int16 sample values and a positive rate, which 16-bit PCM stores exactly
+WAVEFORMS = st.builds(
+    lambda values, sr: Waveform(np.array(values) / 32768.0, sr),
+    st.lists(st.integers(-32768, 32767), min_size=1, max_size=64), st.integers(1, 48000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wav=WAVEFORMS)
+def test_wav_write_read_write_is_byte_stable(wav):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.wav", Path(tmp) / "b.wav"
+        write_wav(first, wav)
+        loaded = read_wav(first)
+        write_wav(second, loaded)
+        assert first.read_bytes() == second.read_bytes()
+    assert np.array_equal(loaded.samples, wav.samples)
+    assert loaded.sample_rate == wav.sample_rate
+
+
+@settings(max_examples=300, deadline=None)
+@given(wav=WAVEFORMS, data=st.data())
+def test_wav_truncation_or_byte_flip_loads_or_names_path(wav, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.wav"
+        write_wav(path, wav)
+        path.write_bytes(damaged(path.read_bytes(), data))
+        try:
+            loaded = read_wav(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+        else:
+            assert loaded.samples.size >= 1 and loaded.sample_rate > 0
+            assert np.all(np.abs(loaded.samples) <= 1.0)
+
+
 def test_wav_float_format_rejected(tmp_path):
     path = tmp_path / "f.wav"
     path.write_bytes(_wav_bytes(audio_format=3, bits=32))
