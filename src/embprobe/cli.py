@@ -227,6 +227,12 @@ def check_config(resolved: dict) -> dict:
     for i, task in enumerate(cfg["tasks"]):
         _checked(f"tasks[{i}]", validate_task, task)
     audio = cfg["synth"] and cfg["synth"]["audio"]
+    if audio and audio["freq_trait"]:  # cmd_synth's tones follow the values at synth's seed
+        seed = _spec_keys(cfg)["seed"]
+        specs = [_spec_keys(cfg, over) for over in (cfg["synth"]["systems"] or {"": None}).values()]
+        _checked("synth.audio.freq_trait", synth.check_freq_trait, audio["freq_trait"],
+                 [(p["trait"], p["kind"]) for spec in specs if spec["seed"] == seed
+                  for p in spec.get("planted", ())])
     if audio:  # cmd_synth's tones span freq_base +/- 3 |freq_scale| with a freq_trait
         base, sr = audio["freq_base"], audio["sr"]
         spread = 3.0 * abs(audio["freq_scale"]) if audio["freq_trait"] else 0.0
@@ -296,11 +302,17 @@ def validate_task(task: dict) -> None:
             raise ValueError(f"task {task}: acoustic traits require scheme T01 or T02")
 
 
-def _synth_spec(cfg: dict, overrides: dict | None = None) -> synth.SynthSpec:
+def _spec_keys(cfg: dict, overrides: dict | None = None) -> dict:
+    """The set SYNTH_SPEC keys of synth, then of a system's overrides, over the top-level seed."""
     spec = {"seed": cfg["seed"]}
     for source in (cfg["synth"], overrides or {}):
         spec.update((key, value) for key, value in source.items()
                     if key in SYNTH_SPEC and value is not None)
+    return spec
+
+
+def _synth_spec(cfg: dict, overrides: dict | None = None) -> synth.SynthSpec:
+    spec = _spec_keys(cfg, overrides)
     if missing := sorted({"n_speakers", "utts_per_speaker", "dim"} - spec.keys()):
         raise ValueError(f"config key 'synth.{missing[0]}' is required")
     planted = tuple(synth.PlantedTrait(p["trait"], p["kind"], p["strength"])
@@ -629,8 +641,13 @@ def cmd_report(resolved: dict, cfg: dict) -> list[dict]:
                        ("sweep", "sweep_eer.json")):
         path = _resolve_path(cfg, fname)
         if path.exists():
-            doc = read_json(path)
-            report[key] = doc.get("tasks", doc) if fname == "probe_report.json" else doc
+            with reading(path):
+                doc = read_json(path)
+                if fname == "probe_report.json":
+                    doc = doc.get("tasks")
+                    if not isinstance(doc, list) or not all(isinstance(t, dict) for t in doc):
+                        raise ValueError("'tasks' must be a list of task objects")
+            report[key] = doc
     write_json(_resolve_path(cfg, "report.json"), report)
     return []
 

@@ -20,7 +20,6 @@ from .fileio import atomic_write_bytes, reading, write_csv
 from .trait_extract import SpectralFrames
 
 FRM_MAGIC = b"FRM1"
-REPRESENTATION_KINDS = ("encoder_spectral", "embedding")
 
 
 @dataclass(frozen=True)
@@ -83,22 +82,49 @@ def cosine_distance(a, b) -> float:
     return 1.0 - cosine_similarity(a, b)
 
 
+def _with_log_sum(P) -> tuple[np.ndarray, float | None]:
+    """A frame matrix and its sum of logs, None if an entry is not positive."""
+    P = _as_frames(P)
+    return P, (None if np.any(P <= 0.0) else float(np.sum(np.log(P))))
+
+
+def _reciprocal_with_log_sum(Q) -> tuple[np.ndarray, float | None]:
+    """1/Q and the sum of ln Q; Q itself, and None, if an entry is not positive."""
+    Q, log_sum = _with_log_sum(Q)
+    return (Q, None) if log_sum is None else (1.0 / Q, log_sum)
+
+
+def _itakura_saito_by_algebra(bona, spoof) -> float:
+    """`itakura_saito(P, Q)` from `_with_log_sum(P)` and
+    `_reciprocal_with_log_sum(Q)`: sum(P/Q - ln(P/Q) - 1) is
+    sum(P * (1/Q)) - sum ln P + sum ln Q - N, clamped at 0 against rounding."""
+    (P, log_p), (inv_q, log_q) = bona, spoof
+    if P.shape != inv_q.shape:
+        raise ValueError(f"shape mismatch: {P.shape} vs {inv_q.shape}")
+    if log_p is None or log_q is None:
+        raise ValueError("non-positive spectral entry")
+    # einsum, not a BLAS dot, whose sum would depend on the thread count
+    ratio_sum = np.einsum("ij,ij->", P, inv_q)
+    return max(float((ratio_sum - P.size + (log_q - log_p)) / P.shape[0]), 0.0)
+
+
 def _present(value, utt: str):
     if value is None:
         raise ValueError(f"missing representation for utt_id {utt!r}")
     return value
 
 
-def _pair_speaker(load, distance, bonas, spoofs, name) -> list[list[float]]:
+def _pair_speaker(load, kernel, bonas, spoofs, name) -> list[list[float]]:
     """Distances from each bonafide row to every spoof row, in spoof order.
 
-    Holds the bonafide representations and one spoof at a time; all of them
-    are released when this returns.
+    Holds the prepared bonafide representations and one prepared spoof at a
+    time; all of them are released when this returns.
     """
-    held = [_present(load(b.utt_id), b.utt_id) for b in bonas]
+    bonafide, spoof_of, distance = kernel
+    held = [bonafide(_present(load(b.utt_id), b.utt_id)) for b in bonas]
     dists: list[list[float]] = [[] for _ in bonas]
     for s in spoofs:
-        spoof = _present(load(s.utt_id), s.utt_id)
+        spoof = spoof_of(_present(load(s.utt_id), s.utt_id))
         for b, bona, out in zip(bonas, held, dists):
             try:
                 out.append(distance(bona, spoof))
@@ -125,13 +151,20 @@ def bonafide_spoof_pairing(manifest: Manifest, reprs, kind: str, source=None,
 
     Returns (records, skipped) in manifest order, where skipped counts
     bonafide utterances whose speaker has no spoofed material. The spectral
-    kind expects equal-shape frame matrices (fixed-length chunks); the
-    embedding kind uses 1 - cosine.
+    kind expects equal-shape frame matrices (fixed-length chunks) and gives
+    `itakura_saito` by algebra, to rounding; the embedding kind uses
+    `cosine_distance`.
     """
-    if kind not in REPRESENTATION_KINDS:
+    # kind -> (prepare a bonafide, prepare a spoof, distance of a prepared pair),
+    # each representation prepared once; looked up per call, so that a wrapped
+    # `cosine_distance` is the one called
+    kernels = {"encoder_spectral": (_with_log_sum, _reciprocal_with_log_sum,
+                                    _itakura_saito_by_algebra),
+               "embedding": (lambda v: v, lambda v: v, cosine_distance)}
+    if kind not in kernels:
         raise ValueError(f"unknown representation kind {kind!r}")
+    kernel = kernels[kind]
     load = reprs.get if isinstance(reprs, Mapping) else reprs
-    distance = cosine_distance if kind == "embedding" else itakura_saito
 
     def name(utt: str) -> str:
         return f"{utt!r}" if source is None else f"{utt!r} ({source(utt)})"
@@ -148,7 +181,7 @@ def bonafide_spoof_pairing(manifest: Manifest, reprs, kind: str, source=None,
                 load(row.utt_id)
             skipped += len(bonas)
             continue
-        for b, dists in zip(bonas, _pair_speaker(load, distance, bonas, spoofs, name)):
+        for b, dists in zip(bonas, _pair_speaker(load, kernel, bonas, spoofs, name)):
             means[b.utt_id] = float(np.mean(dists))
 
     records = [PairedDistanceRecord(

@@ -154,6 +154,15 @@ def check_positive(**values) -> None:
             raise ValueError(f"{name} must be positive")
 
 
+def check_freq_trait(freq_trait: str, plantings) -> None:
+    """Raise ValueError unless (`freq_trait`, "linear_subspace") is among the
+    (trait, kind) `plantings` of the systems at the tones' seed: tones follow
+    `planted_values` of that trait, which only that kind at that seed puts in
+    the embeddings."""
+    if (freq_trait, "linear_subspace") not in plantings:
+        raise ValueError(f"{freq_trait!r} is not a planted linear_subspace trait")
+
+
 def check_frequency(freq: float, sr: int) -> None:
     """Raise ValueError unless a tone of `freq` Hz lies in (0, Nyquist) at
     sample rate `sr`."""

@@ -634,6 +634,19 @@ def test_report_rejects_a_sub_report_that_is_not_an_object(tmp_path, fname):
     assert not (outdir / "report.json").exists()
 
 
+@pytest.mark.parametrize("doc", [{"tasks": {"x": 1}}, {"tasks": [1]}, {"tasks": None}, {}],
+                         ids=["tasks a mapping", "a task not an object", "tasks null",
+                              "no tasks"])
+def test_report_rejects_a_probe_report_without_a_task_list(tmp_path, doc):
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    (outdir / "probe_report.json").write_text(json.dumps(doc))
+    assert run("report", write_config(tmp_path, pipeline_config(outdir))) == 1
+    error = json.loads((outdir / "failures.json").read_text())["failures"][0]["error"]
+    assert error == f"{outdir / 'probe_report.json'}: 'tasks' must be a list of task objects"
+    assert not (outdir / "report.json").exists()
+
+
 @pytest.mark.parametrize("audio, key", [
     ({"sr": 8000, "freq_base": 3000.0, "freq_scale": 1000.0}, "synth.audio.freq_scale"),
     ({"sr": 8000, "freq_base": 4000.0, "freq_scale": 0.0}, "synth.audio.freq_base"),
@@ -649,6 +662,38 @@ def test_tone_frequency_range_fails_before_any_file(tmp_path, audio, key):
     assert error.startswith(f"config key {key!r}: frequency ")
     assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
         "out", "out/failures.json", "run.json"]
+
+
+@pytest.mark.parametrize("freq_trait, systems", [
+    ("gender", None), ("f0_maen", None),
+    ("f0_mean", {"cm": {"seed": 3}}),
+    ("f0_mean", {"cm": {"planted": [{"trait": "gender", "kind": "cluster"}]}}),
+], ids=["cluster trait", "typo", "system at another seed", "system plants another trait"])
+def test_freq_trait_must_be_a_planted_linear_subspace_trait(tmp_path, freq_trait, systems):
+    """The tones follow the freq_trait's values at synth's seed; some system
+    must plant that trait as linear_subspace at that seed."""
+    cfg = pipeline_config(tmp_path / "out")
+    cfg["synth"]["audio"]["freq_trait"] = freq_trait
+    cfg["synth"]["systems"] = systems
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["synth", "--config", str(cfg_path)]) == 1
+    error = json.loads((tmp_path / "out" / "failures.json").read_text())["failures"][0]["error"]
+    assert error == (f"config key 'synth.audio.freq_trait': {freq_trait!r} "
+                     "is not a planted linear_subspace trait")
+    assert not list(tmp_path.rglob("*.wav"))
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "out", "out/failures.json", "run.json"]
+
+
+def test_freq_trait_may_be_planted_by_one_system(tmp_path):
+    cfg = pipeline_config(tmp_path / "out")
+    cfg["synth"].update(n_speakers=2, utts_per_speaker=4, planted=[],
+                        systems={"asv": None, "cm": {"planted": [
+                            {"trait": "f0_mean", "kind": "linear_subspace"}]}})
+    cfg["embeddings"] = {"asv": "emb/asv.emb", "cm": "emb/cm.emb"}
+    assert main(["synth", "--config", write_config(tmp_path, cfg)]) == 0
+    assert len(list(tmp_path.rglob("*.wav"))) == 8
 
 
 def test_tone_frequency_spread_needs_a_freq_trait(tmp_path):
@@ -802,4 +847,32 @@ def test_probe_outputs_independent_of_jobs_and_blas_threads(tmp_path):
             assert len(probes) == 2
             outputs.add(((outdir / "probe_report.json").read_bytes(),
                          tuple((p.name, p.read_bytes()) for p in probes)))
+    assert len(outputs) == 1
+
+
+def test_distance_outputs_independent_of_blas_threads(tmp_path):
+    """The encoder_spectral records and the distance summary are byte-identical
+    with BLAS at one thread, at two, or unset (which the command-line entry
+    pins to one)."""
+    import embprobe
+    outdir = tmp_path / "out"
+    cfg = pipeline_config(outdir)
+    # 1 s chunks are 98 x 257 spectrograms: a dot product of 25k entries,
+    # long enough for BLAS to split over threads when it may
+    cfg["synth"].update(n_speakers=4, utts_per_speaker=6)
+    cfg["distance"]["kinds"] = ["encoder_spectral"]
+    cfg["tasks"] = []
+    cfg_path = write_config(tmp_path, cfg)
+    assert run("synth", cfg_path) == 0
+    src = str(Path(embprobe.__file__).resolve().parents[1])
+    outputs = set()
+    for blas in ("1", "2", None):
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if blas is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas
+        subprocess.run([sys.executable, "-m", "embprobe.cli", "distance", "--config", cfg_path],
+                       check=True, env=env, timeout=300)
+        outputs.add(tuple((outdir / name).read_bytes() for name in (
+            "distance_records_encoder_spectral.csv", "distance_summary.json")))
     assert len(outputs) == 1

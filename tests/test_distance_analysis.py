@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 import tempfile
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from embprobe.data_model import Manifest
 from embprobe.distance_analysis import (PairedDistanceRecord,
@@ -207,6 +209,19 @@ def _reference_pairing(manifest, reprs, kind):
     return records
 
 
+def _assert_matches_reference(records, reference, kind, abs_tol=0.0):
+    """Embedding records equal the per-pair reference exactly. Spectral ones
+    agree to 1e-12 relative (or `abs_tol`): the pairing sums Itakura-Saito by
+    algebra, in another order than the per-pair formula."""
+    if kind == "embedding":
+        assert records == reference
+        return
+    assert [dataclasses.replace(r, mean_distance=0.0) for r in records] == [
+        dataclasses.replace(r, mean_distance=0.0) for r in reference]
+    for rec, ref in zip(records, reference):
+        assert math.isclose(rec.mean_distance, ref.mean_distance, rel_tol=1e-12, abs_tol=abs_tol)
+
+
 def _interleaved_manifest():
     # rows of A, B and C alternate; C has no spoofs, D has no bonafide rows
     speakers = {"A": "female", "B": "male", "C": "male", "D": "female"}
@@ -232,12 +247,14 @@ def test_pairing_loader_matches_dict_and_reference(tmp_path, rng, kind):
     assert skipped == skipped_loader == 2  # C_B0, C_B1
     assert [r.bonafide_utt for r in from_dict] == [
         "A_B0", "B_B0", "A_B1", "B_B1", "A_B2", "B_B2"]  # manifest order
-    assert from_dict == from_loader == _reference_pairing(manifest, reprs, kind)
+    assert from_dict == from_loader
+    _assert_matches_reference(from_dict, _reference_pairing(manifest, reprs, kind), kind)
     write_distance_records(from_dict, tmp_path / "dict.csv")
     write_distance_records(from_loader, tmp_path / "loader.csv")
-    write_distance_records(_reference_pairing(manifest, reprs, kind), tmp_path / "ref.csv")
-    assert (tmp_path / "dict.csv").read_bytes() == (tmp_path / "loader.csv").read_bytes() \
-        == (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "dict.csv").read_bytes() == (tmp_path / "loader.csv").read_bytes()
+    if kind == "embedding":
+        write_distance_records(_reference_pairing(manifest, reprs, kind), tmp_path / "ref.csv")
+        assert (tmp_path / "dict.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class _SpyLoader:
@@ -281,7 +298,47 @@ def test_pairing_streams_one_speaker_at_a_time(rng, kind):
     # one speaker's bonafide set plus one spoof: A and B hold 3 + 1
     assert spy.peak == 4
     assert not spy.alive
-    assert records == _reference_pairing(manifest, reprs, kind)
+    _assert_matches_reference(records, _reference_pairing(manifest, reprs, kind), kind)
+
+
+@st.composite
+def _paired_corpora(draw):
+    """Speakers with 0-3 bonafide and 0-3 spoofed rows in a drawn order, and
+    one log-spectrum per row: frames of one shape, from 1 x 1 up, with log
+    entries spanning the range of a floored power spectrogram."""
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 6)))
+    rows, logs = [], {}
+    for s in range(draw(st.integers(1, 3))):
+        spk, gender = f"P{s}", ("female", "male")[s % 2]
+        for role, count in (("B", draw(st.integers(0, 3))), ("S", draw(st.integers(0, 3)))):
+            for u in range(count):
+                utt = f"{spk}_{role}{u}"
+                rows.append(make_row(utt, speaker=spk, gender=gender, bonafide=role == "B",
+                                     attack_id=None if role == "B" else "A07",
+                                     attack_type=None if role == "B" else "TTS"))
+                logs[utt] = draw(arrays(np.float64, shape,
+                                        elements=st.floats(-25.0, 25.0)))
+    return Manifest(rows=tuple(draw(st.permutations(rows)))), logs
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus=_paired_corpora())
+def test_pairing_matches_reference_on_random_corpora(corpus):
+    manifest, logs = corpus
+    spectra = {utt: np.exp(log) for utt, log in logs.items()}
+    records, _ = bonafide_spoof_pairing(manifest, spectra, "encoder_spectral")
+    # where P is close to Q the distance is a small difference of sums of
+    # order N and sum |ln P|, so its rounding is absolute, about one ulp per entry
+    _assert_matches_reference(records, _reference_pairing(manifest, spectra, "encoder_spectral"),
+                              "encoder_spectral", abs_tol=1e-12)
+    vectors = {utt: log.reshape(-1) for utt, log in logs.items()}  # signed; may be zero
+    try:
+        reference = _reference_pairing(manifest, vectors, "embedding")
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            bonafide_spoof_pairing(manifest, vectors, "embedding")
+    else:
+        assert bonafide_spoof_pairing(manifest, vectors, "embedding")[0] == reference
 
 
 def test_pairing_unpaired_rows_are_loaded_but_may_be_missing():
