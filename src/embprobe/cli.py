@@ -12,9 +12,7 @@ if __name__ == "__main__":  # `python -m embprobe.cli`; numpy is not loaded yet
     pin_blas_threads()
 
 import argparse
-import copy
 import dataclasses
-import hashlib
 import json
 import os
 import sys
@@ -23,20 +21,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, charts, synth
-from .data_model import (ATTACK_TRAITS, META_TRAITS, PartitionScheme, TraitTask,
-                         check_train_fraction, load_embeddings, load_manifest,
-                         partition, write_embeddings, write_manifest)
-from .distance_analysis import (bonafide_spoof_pairing, check_bins, read_frames,
-                                summarize_by_gender, write_distance_records)
+from .config import (SCHEMA, check_config, config_fingerprint, load_config, resolve_config,
+                     synth_spec_keys)
+from .config import validate_task  # noqa: F401  (re-exported)
+from .data_model import (TraitTask, load_embeddings, load_manifest, partition, write_embeddings,
+                         write_manifest)
+from .distance_analysis import (bonafide_spoof_pairing, read_frames, summarize_by_gender,
+                                write_distance_records)
 from .fileio import read_json, reading, write_json
-from .metrics import check_resampling, classification_result, regression_result
-from .perturbation import (DEFAULT_RATES, check_rate, run_sweep, speed_perturb,
-                           write_score_file)
-from .probe_net import (DEFAULT_HIDDEN_DIM, TrainConfig, check_dims, init_probe,
-                        predict, save_probe, train)
+from .metrics import classification_result, regression_result
+from .perturbation import run_sweep, speed_perturb, write_score_file
+from .probe_net import TrainConfig, init_probe, predict, save_probe, train
 from .rng import derive_seed
-from .trait_extract import (TRAIT_CSV_COLUMNS, TraitValues, check_chunk_seconds,
-                            chunk_fixed, extract_traits, power_spectrogram,
+from .trait_extract import (TraitValues, chunk_fixed, extract_traits, power_spectrogram,
                             read_trait_csv, read_wav, write_trait_csv, write_wav)
 
 REPORT_VERSION = 1
@@ -85,234 +82,14 @@ REPORT_SCHEMA = {
 }
 
 
-class Optional(dict):
-    """A config section that may be absent; null or empty, it reads as None."""
-
-
-def _checked_by_name(make, **valid):
-    # the check that `make` (a library class) makes of one argument, the others valid
-    return lambda **value: make(**{**valid, **value})
-
-
-RATES = "rates"  # the kind of a non-empty list of distinct rates
-SPEC_CHECK = _checked_by_name(synth.SynthSpec, n_speakers=1, utts_per_speaker=1, dim=1)
-PLANTED_CHECK = _checked_by_name(synth.PlantedTrait, trait_name="", kind="none", strength=0.0)
-# The keys of a synthetic-corpus spec, in synth and in each synth.systems.<name>;
-# null leaves a key to synth, then to SynthSpec (the seed to the top level).
-SYNTH_SPEC = {
-    "n_speakers": (int, None, SPEC_CHECK), "utts_per_speaker": (int, None, SPEC_CHECK),
-    "dim": (int, None, SPEC_CHECK), "noise_sigma": (float, None, SPEC_CHECK), "seed": (int,),
-    "spoof_fraction": (float, None, SPEC_CHECK), "attack_ids": [(str, ...), None, SPEC_CHECK],
-    "planted": [{"trait": (str,), "kind": (str, None, PLANTED_CHECK),
-                 "strength": (float, 1.0, PLANTED_CHECK)}, None]}
-# Every config key. A value's spec is (kind, default, check): kind is int, float,
-# bool, str, a tuple of the strings it may be, or RATES; check, the library's
-# check of its range, takes the value by its key's name; null reads as the
-# default, or is an error if that is ... . {key: spec} is a section (Optional:
-# may be absent), {str: spec} or {float: spec} a mapping from names or rates,
-# and [item spec, default] or [item spec, default, check] a list. resolve_config
-# merges the defaults of the top level and its plain sections into the config
-# (report.json echoes it).
-SCHEMA = {
-    "seed": (int, 0), "outdir": (str, "out"), "manifest": (str, "manifest.csv"),
-    "embeddings": {str: (str, ...)}, "traits_csv": (str, "traits.csv"),
-    "partition": {"train_fraction": (float, 0.9, check_train_fraction),
-                  "schemes": [(tuple(s.value for s in PartitionScheme), ...), None]},
-    "train": {"epochs": (int, 20, TrainConfig), "batch_size": (int, 32, TrainConfig),
-              "initial_lr": (float, 0.001, TrainConfig), "decay_factor": (float, 0.1, TrainConfig),
-              "decay_every": (int, 8, TrainConfig), "unit_norm": (bool, False),
-              "hidden_dim": (int, DEFAULT_HIDDEN_DIM, check_dims)},
-    "metrics": {"n_boot": (int, 1000, check_resampling), "alpha": (float, 0.05, check_resampling),
-                "n_perm": (int, 999, check_resampling)},
-    "tasks": [{"trait": (str,), "kind": (str,), "scheme": (str,)}, []],
-    "distance": Optional({"system": (str,), "features_dir": (str,),
-                          "bins": (int, 50, check_bins),
-                          "kinds": [(("embedding", "encoder_spectral"), ...), ["embedding"]],
-                          "chunk_seconds": (float, 4.0, check_chunk_seconds)}),
-    "perturb": Optional({"rates": (RATES, DEFAULT_RATES, check_rate),
-                         "audio_outdir": (str, "perturbed")}),
-    "sweep": Optional({"rates": (RATES, DEFAULT_RATES, check_rate),
-                       "score_files": {float: (str, ...)}, "score_dir": (str,)}),
-    "synth": Optional({
-        **SYNTH_SPEC, "systems": {str: Optional(SYNTH_SPEC)},
-        "audio": Optional({"dir": (str, "audio"), "duration_s": (float, 1.0, synth.check_positive),
-                           "sr": (int, 16000, synth.check_positive), "freq_trait": (str,),
-                           "freq_base": (float, 200.0), "freq_scale": (float, 30.0)}),
-        "scores": Optional({"dir": (str, "scores"), "rates": (RATES, DEFAULT_RATES),
-                            "n_bonafide": (int, 60, synth.check_positive),
-                            "n_spoof": (int, 60, synth.check_positive),
-                            "base_separation": (float, 3.0), "decay": (float, 4.0)})})}
-
-
-TYPES = {int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-         float: ("a finite number", lambda v: isinstance(v, int | float)
-                 and not isinstance(v, bool) and abs(v) <= sys.float_info.max),
-         bool: ("true or false", lambda v: isinstance(v, bool)),
-         str: ("a string", lambda v: isinstance(v, str))}
-
-
-def _checked(path: str, check, *args, **kwargs) -> None:
-    try:
-        check(*args, **kwargs)
-    except ValueError as exc:
-        raise ValueError(f"config key {path!r}: {exc}") from None
-
-
-def _default(spec):
-    if isinstance(spec, Optional):
-        return None
-    if isinstance(spec, dict):
-        return {} if str in spec or float in spec else {k: _default(s) for k, s in spec.items()}
-    return spec[1] if len(spec) > 1 else None
-
-
-def _rate(name, path: str) -> float:
-    try:  # JSON writes a rate as a string
-        return _typed((float,), float(name), path)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"config key {path!r} must be named by a number") from None
-
-
-def _typed(spec, value, path: str):
-    if isinstance(spec, tuple):
-        kind, default, check = (*spec, None, None)[:3]
-        if kind is RATES:
-            if (not isinstance(value, list | tuple) or not value
-                    or not all(map(TYPES[float][1], value)) or len(set(value)) != len(value)):
-                raise ValueError(f"config key {path!r} must be a non-empty list of "
-                                 "distinct numbers")
-            for rate in value if check else ():
-                _checked(path, check, rate)
-            return tuple(float(rate) for rate in value)
-        if value is None and default is not ...:
-            return default
-        expected, ok = (("one of " + ", ".join(kind), value in kind) if isinstance(kind, tuple)
-                        else (TYPES[kind][0], TYPES[kind][1](value)))
-        if not ok:
-            raise ValueError(f"config key {path!r} must be {expected}, got {value!r}")
-        if check is not None:
-            _checked(path, check, **{path.rpartition(".")[2]: value})
-        return float(value) if kind is float else value
-    if isinstance(spec, list):
-        if value is None:
-            return spec[1]
-        if not isinstance(value, list | tuple):
-            raise ValueError(f"config key {path!r} must be a list")
-        items = tuple(_typed(spec[0], item, f"{path}[{i}]") for i, item in enumerate(value))
-        if len(spec) > 2:
-            _checked(path, spec[2], **{path.rpartition(".")[2]: items})
-        return items
-    mapping = str in spec or float in spec
-    if (value is None and mapping) or (isinstance(spec, Optional) and value in (None, {})):
-        return _default(spec)
-    if not isinstance(value, dict):
-        raise ValueError(f"config key {path!r} must be a mapping")
-    join = (lambda key: f"{path}.{key}") if path else str
-    if mapping:
-        (name_kind, item_spec), = spec.items()
-        return {_rate(name, join(name)) if name_kind is float else name:
-                _typed(item_spec, item, join(name)) for name, item in value.items()}
-    for key in value:
-        if key not in spec:
-            raise ValueError(f"unknown config key {join(key)!r} "
-                             f"(known: {', '.join(sorted(spec))})")
-    return {key: _typed(s, value[key], join(key)) if key in value else _default(s)
-            for key, s in spec.items()}
-
-
-def check_config(resolved: dict) -> dict:
-    """The resolved config typed, with every default in; ValueError names the
-    dotted path of the first key that is unknown, of a wrong type or out of range."""
-    cfg = _typed(SCHEMA, resolved, "")
-    for i, task in enumerate(cfg["tasks"]):
-        _checked(f"tasks[{i}]", validate_task, task)
-    audio = cfg["synth"] and cfg["synth"]["audio"]
-    if audio and audio["freq_trait"]:  # cmd_synth's tones follow the values at synth's seed
-        seed = _spec_keys(cfg)["seed"]
-        specs = [_spec_keys(cfg, over) for over in (cfg["synth"]["systems"] or {"": None}).values()]
-        _checked("synth.audio.freq_trait", synth.check_freq_trait, audio["freq_trait"],
-                 [(p["trait"], p["kind"]) for spec in specs if spec["seed"] == seed
-                  for p in spec.get("planted", ())])
-    if audio:  # cmd_synth's tones span freq_base +/- 3 |freq_scale| with a freq_trait
-        base, sr = audio["freq_base"], audio["sr"]
-        spread = 3.0 * abs(audio["freq_scale"]) if audio["freq_trait"] else 0.0
-        _checked("synth.audio.freq_base", synth.check_frequency, base, sr)
-        for freq in (base - spread, base + spread):
-            _checked("synth.audio.freq_scale", synth.check_frequency, freq, sr)
-    return cfg
-
-
-def _deep_merge(base, override):
-    if isinstance(base, dict) and isinstance(override, dict):
-        merged = dict(base)
-        for key, value in override.items():
-            merged[key] = _deep_merge(base.get(key), value)
-        return merged
-    return copy.deepcopy(override) if override is not None else copy.deepcopy(base)
-
-
-def load_config(path) -> dict:
-    if Path(path).suffix == ".json":
-        return read_json(path)
-    import yaml  # JSON configs skip its import cost
-    return read_json(path, yaml.safe_load)
-
-
-def resolve_config(doc: dict, outdir=None, seed=None) -> dict:
-    resolved = _deep_merge(copy.deepcopy(_default(SCHEMA)), doc)
-    if outdir is not None:
-        resolved["outdir"] = str(outdir)
-    if seed is not None:
-        resolved["seed"] = int(seed)
-    return resolved
-
-
-def config_fingerprint(resolved: dict) -> str:
-    canon = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
 def _resolve_path(cfg: dict, value) -> Path:
     # relative config paths live under the output directory
     p = Path(value)
     return p if p.is_absolute() else Path(cfg["outdir"]) / p
 
 
-def validate_task(task: dict) -> None:
-    trait, kind, scheme = task.get("trait"), task.get("kind"), task.get("scheme")
-    if kind not in ("classification", "regression"):
-        raise ValueError(f"task {task}: unknown kind {kind!r}")
-    if scheme not in set(PartitionScheme):
-        raise ValueError(f"task {task}: unknown scheme {scheme!r}")
-    if kind == "classification":
-        if trait not in META_TRAITS:
-            raise ValueError(f"task {task}: unknown classification trait {trait!r}")
-        if trait in ATTACK_TRAITS and scheme != "T03":
-            raise ValueError(f"task {task}: attack traits require scheme T03")
-        if trait not in ATTACK_TRAITS and scheme == "T03":
-            raise ValueError(f"task {task}: speaker traits require scheme T01 or T02")
-    else:
-        if trait == "age":
-            raise ValueError("age is categorical, never a regression target")
-        if trait in META_TRAITS:
-            raise ValueError(f"task {task}: meta trait {trait!r} is a classification target")
-        if trait not in TRAIT_CSV_COLUMNS[1:]:  # after utt_id
-            raise ValueError(f"task {task}: unknown regression trait {trait!r}")
-        if scheme == "T03":
-            raise ValueError(f"task {task}: acoustic traits require scheme T01 or T02")
-
-
-def _spec_keys(cfg: dict, overrides: dict | None = None) -> dict:
-    """The set SYNTH_SPEC keys of synth, then of a system's overrides, over the top-level seed."""
-    spec = {"seed": cfg["seed"]}
-    for source in (cfg["synth"], overrides or {}):
-        spec.update((key, value) for key, value in source.items()
-                    if key in SYNTH_SPEC and value is not None)
-    return spec
-
-
 def _synth_spec(cfg: dict, overrides: dict | None = None) -> synth.SynthSpec:
-    spec = _spec_keys(cfg, overrides)
+    spec = synth_spec_keys(cfg, overrides)
     if missing := sorted({"n_speakers", "utts_per_speaker", "dim"} - spec.keys()):
         raise ValueError(f"config key 'synth.{missing[0]}' is required")
     planted = tuple(synth.PlantedTrait(p["trait"], p["kind"], p["strength"])
@@ -680,7 +457,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     # a config that does not load leaves its failure under --outdir or the default
-    failures_path = Path(args.outdir or _default(SCHEMA["outdir"]), "failures.json")
+    failures_path = Path(args.outdir or SCHEMA["outdir"][1], "failures.json")
     try:
         resolved = resolve_config(load_config(args.config), outdir=args.outdir, seed=args.seed)
         failures_path = Path(str(resolved["outdir"]), "failures.json")  # even if outdir is bad

@@ -5,19 +5,18 @@ import json
 import math
 import struct
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
+from .config import (ATTACK_TRAITS, META_TRAITS, PartitionScheme,  # noqa: F401
+                     check_train_fraction)
 from .fileio import (atomic_write_bytes, atomic_write_text, read_csv, read_jsonl, reading,
                      write_csv)
 from .rng import make_rng
 
 GENDERS = ("female", "male")
 BONAFIDE_CLASS = "bonafide"
-META_TRAITS = ("speaker_id", "age", "gender", "accent", "attack_id", "attack_type")
-ATTACK_TRAITS = ("attack_id", "attack_type")
 
 MANIFEST_COLUMNS = (
     "utt_id", "speaker_id", "gender", "age", "accent",
@@ -310,12 +309,6 @@ def build_label_space(manifest: Manifest, trait: str) -> LabelSpace:
     return LabelSpace(trait, tuple(labels))
 
 
-class PartitionScheme(str, Enum):
-    T01 = "T01"
-    T02 = "T02"
-    T03 = "T03"
-
-
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
@@ -323,12 +316,6 @@ def _round_half_up(x: float) -> int:
 def _eval_count(n: int, train_fraction: float) -> int:
     # per-stratum held-out size: at least 1, at most n-1
     return min(n - 1, max(1, _round_half_up((1.0 - train_fraction) * n)))
-
-
-def check_train_fraction(train_fraction: float) -> None:
-    """Raise ValueError unless `train_fraction` lies in (0, 1)."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must lie in (0, 1)")
 
 
 def _utts_by(rows, key) -> dict[str, list[str]]:

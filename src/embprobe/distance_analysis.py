@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import check_bins
 from .data_model import Manifest
 from .fileio import atomic_write_bytes, reading, write_csv
 from .trait_extract import SpectralFrames
@@ -189,12 +190,6 @@ def bonafide_spoof_pairing(manifest: Manifest, reprs, kind: str, source=None,
         speaker_id=row.speaker_id, gender=row.gender, representation=kind)
         for row in manifest.rows if row.utt_id in means]
     return records, skipped
-
-
-def check_bins(bins: int) -> None:
-    """Raise ValueError unless a histogram bin count is at least 1."""
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
 
 
 def histogram_overlap(a, b, bins: int = 50) -> float:

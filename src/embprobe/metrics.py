@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_resampling
 from .rng import make_rng
 
 
@@ -50,15 +51,6 @@ def confusion_matrix(preds, labels, n_classes: int) -> np.ndarray:
     mat = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(mat, (t, p), 1)
     return mat
-
-
-def check_resampling(n_boot: int = 1000, alpha: float = 0.05, n_perm: int = 999) -> None:
-    """Raise ValueError unless every resampling setting lies in its range."""
-    for name, n in (("n_boot", n_boot), ("n_perm", n_perm)):
-        if n < 100:
-            raise ValueError(f"{name} must be >= 100")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
 
 
 def bootstrap_ci(preds, labels, n_boot: int = 1000, alpha: float = 0.05,

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import DEFAULT_RATES, check_rate  # noqa: F401
 from .fileio import atomic_write_text, read_utf8_text, reading, write_csv, write_json
 from .metrics import EERResult, eer
 from .trait_extract import Waveform
@@ -22,8 +23,6 @@ KAISER_BETA = 8.555
 # since evaluating it at import adds ~0.4 MB of RSS to every command
 I0_BETA = 719.3864024730768
 HALF_TAPS = 32  # sinc half-width at unit cutoff, in input samples
-
-DEFAULT_RATES = (0.8, 0.9, 1.0, 1.1, 1.2)
 
 
 @dataclass(frozen=True)
@@ -44,12 +43,6 @@ def _kaiser_sinc(u: np.ndarray, cutoff: float, half: int) -> np.ndarray:
     inside = np.abs(v) < 1.0
     win[inside] = np.i0(KAISER_BETA * np.sqrt(1.0 - v[inside] ** 2)) / I0_BETA
     return cutoff * np.sinc(cutoff * u) * win
-
-
-def check_rate(rate: float) -> None:
-    """Raise ValueError unless `rate` lies in the supported [0.5, 2.0]."""
-    if not 0.5 <= rate <= 2.0:
-        raise ValueError(f"rate {rate} outside [0.5, 2.0]")
 
 
 def speed_perturb(w: Waveform, rate: float) -> Waveform:

@@ -16,12 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import DEFAULT_HIDDEN_DIM, check_dims, check_train  # noqa: F401
 from .fileio import atomic_write_bytes, reading
 from .rng import make_rng
 
 PRB_MAGIC = b"PRB1"
 PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3")
-DEFAULT_HIDDEN_DIM = 256
 
 
 def _param_shapes(input_dim: int, hidden_dim: int,
@@ -80,13 +80,6 @@ class MLPProbe:
         """Parameter name -> the view of `flat` (laid out like `theta`)
         shaped as that parameter."""
         return _split_params(flat, self._shapes())
-
-
-def check_dims(**dims: int) -> None:
-    """Raise ValueError unless every named layer width is at least 1."""
-    for name, value in dims.items():
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def init_probe(input_dim: int, hidden_dim: int, output_dim: int,
@@ -281,16 +274,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not (math.isfinite(self.initial_lr) and self.initial_lr > 0.0):
-            raise ValueError("initial_lr must be positive and finite")
-        if not 0.0 < self.decay_factor <= 1.0:
-            raise ValueError("decay_factor must lie in (0, 1]")
-        if self.decay_every < 1:
-            raise ValueError("decay_every must be >= 1")
+        check_train(**vars(self))
 
 
 @dataclass

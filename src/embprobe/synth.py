@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_frequency, check_planted, check_positive, check_synth_spec
 from .data_model import EmbeddingTable, Manifest, ManifestRow, trait_label
 from .perturbation import ScoreRow
 from .rng import make_rng
@@ -27,10 +28,7 @@ class PlantedTrait:
     strength: float
 
     def __post_init__(self):
-        if self.kind not in ("cluster", "linear_subspace", "none"):
-            raise ValueError(f"unknown planted kind {self.kind!r}")
-        if not 0.0 <= self.strength <= 1.0:
-            raise ValueError("strength must lie in [0, 1]")
+        check_planted(**vars(self))
 
 
 @dataclass(frozen=True)
@@ -45,14 +43,7 @@ class SynthSpec:
     attack_ids: tuple[str, ...] = DEFAULT_ATTACKS
 
     def __post_init__(self):
-        if self.n_speakers < 1 or self.utts_per_speaker < 1 or self.dim < 1:
-            raise ValueError("counts and dim must be positive")
-        if not 0.0 <= self.spoof_fraction <= 1.0:
-            raise ValueError("spoof_fraction must lie in [0, 1]")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be non-negative")
-        if not self.attack_ids:
-            raise ValueError("attack_ids must not be empty")
+        check_synth_spec(**vars(self))
 
 
 def build_manifest(spec: SynthSpec) -> Manifest:
@@ -144,30 +135,6 @@ def gen_regression_target(spec: SynthSpec, trait_name: str,
     rng = make_rng(spec.seed, "synth-target-noise", trait_name)
     return {utt: float(vec @ direction / planted.strength + rng.normal(0.0, spec.noise_sigma))
             for utt, vec in zip(table.ids, table.matrix)}
-
-
-def check_positive(**values) -> None:
-    """Raise ValueError naming the first of `values` (a count, a duration or a
-    sample rate) that is not positive."""
-    for name, value in values.items():
-        if value <= 0:
-            raise ValueError(f"{name} must be positive")
-
-
-def check_freq_trait(freq_trait: str, plantings) -> None:
-    """Raise ValueError unless (`freq_trait`, "linear_subspace") is among the
-    (trait, kind) `plantings` of the systems at the tones' seed: tones follow
-    `planted_values` of that trait, which only that kind at that seed puts in
-    the embeddings."""
-    if (freq_trait, "linear_subspace") not in plantings:
-        raise ValueError(f"{freq_trait!r} is not a planted linear_subspace trait")
-
-
-def check_frequency(freq: float, sr: int) -> None:
-    """Raise ValueError unless a tone of `freq` Hz lies in (0, Nyquist) at
-    sample rate `sr`."""
-    if freq <= 0 or freq >= sr / 2:
-        raise ValueError(f"frequency {freq:g} must lie in (0, Nyquist={sr / 2})")
 
 
 def gen_tone(freq: float, dur: float, sr: int = 16000,

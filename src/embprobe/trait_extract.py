@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ACOUSTIC_TRAITS, check_chunk_seconds
 from .fileio import atomic_write_bytes, read_csv, reading, write_csv
 
 POWER_FLOOR = 1e-10
@@ -331,12 +332,6 @@ def power_spectrogram(w: Waveform, frame_len: float = 0.025, hop: float = 0.010,
     return SpectralFrames(frames=power)
 
 
-def check_chunk_seconds(chunk_seconds: float) -> None:
-    """Raise ValueError unless a chunk length in seconds is positive."""
-    if chunk_seconds <= 0:
-        raise ValueError("seconds must be positive")
-
-
 def chunk_fixed(w: Waveform, seconds: float) -> Waveform:
     """Truncate to `seconds`, or tile the waveform cyclically if shorter."""
     check_chunk_seconds(seconds)
@@ -370,7 +365,7 @@ def extract_traits(w: Waveform,
     return values, failures
 
 
-TRAIT_CSV_COLUMNS = ("utt_id", "f0_mean", "speaking_rate", "duration", "snr")
+TRAIT_CSV_COLUMNS = ("utt_id", *ACOUSTIC_TRAITS)
 
 
 def write_trait_csv(values: dict[str, TraitValues], path) -> None:

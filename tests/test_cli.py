@@ -696,6 +696,42 @@ def test_freq_trait_may_be_planted_by_one_system(tmp_path):
     assert len(list(tmp_path.rglob("*.wav"))) == 8
 
 
+@pytest.mark.parametrize("command", ["report", "synth"])
+@pytest.mark.parametrize("names, key", [
+    ({"embeddings": {1: "emb/a.emb", "cm": "emb/cm.emb"}}, "embeddings.1"),
+    ({"synth": {"systems": {1: None, "cm": None}}}, "synth.systems.1"),
+], ids=["embeddings", "synth.systems"])
+def test_a_name_that_is_not_a_string_fails_before_any_file(tmp_path, command, names, key):
+    """YAML can name a system by a number; the check rejects it, where
+    report's fingerprint and synth's sorted systems would raise TypeError."""
+    outdir = tmp_path / "out"
+    cfg = pipeline_config(outdir)
+    cfg.update({section: {**cfg[section], **value} for section, value in names.items()})
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg, sort_keys=False))
+    assert main([command, "--config", str(cfg_path)]) == 1
+    error = json.loads((outdir / "failures.json").read_text())["failures"][0]["error"]
+    assert error == f"config key {key!r} must be named by a string"
+    assert sorted(p.name for p in outdir.iterdir()) == ["failures.json"]
+
+
+def test_two_names_of_one_rate_fail_the_check(tmp_path):
+    outdir = tmp_path / "out"
+    cfg = pipeline_config(outdir)
+    cfg["sweep"] = {"rates": [0.9, 1.0],
+                    "score_files": {"1": "a.txt", "1.0": "b.txt", "0.9": "c.txt"}}
+    message = "config key 'sweep.score_files.1.0' repeats the rate of 'sweep.score_files.1'"
+    with pytest.raises(ValueError) as info:
+        check_config(resolve_config(cfg))
+    assert str(info.value) == message
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["sweep", "--config", str(cfg_path)]) == 1
+    error = json.loads((outdir / "failures.json").read_text())["failures"][0]["error"]
+    assert error == message
+    assert sorted(p.name for p in outdir.iterdir()) == ["failures.json"]
+
+
 def test_tone_frequency_spread_needs_a_freq_trait(tmp_path):
     cfg = pipeline_config(tmp_path / "out")
     cfg["synth"]["audio"].update(sr=8000, freq_base=3000.0, freq_scale=1000.0, freq_trait=None)
