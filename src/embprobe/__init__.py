@@ -7,6 +7,7 @@ and runs distance-based and perturbation-based ablation analyses.
 import os
 
 __version__ = "0.1.0"
+REPORT_VERSION = 1  # of report.json and probe_report.json
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 

@@ -81,6 +81,16 @@ def check_rate(rate: float) -> None:
         raise ValueError(f"rate {rate} outside [0.5, 2.0]")
 
 
+def check_sweep_rates(rates) -> None:
+    """Raise ValueError unless the sweep's rates are distinct, positive and include 1.0."""
+    if len(set(rates)) != len(rates):
+        raise ValueError("rates must be distinct")
+    if any(r <= 0 for r in rates):
+        raise ValueError("rates must be positive")
+    if 1.0 not in rates:
+        raise ValueError("baseline rate 1.0 must be included")
+
+
 def check_synth_spec(**values) -> None:
     """Raise ValueError for the first of the given SynthSpec fields out of range."""
     if any(values.get(name, 1) < 1 for name in ("n_speakers", "utts_per_speaker", "dim")):
@@ -247,6 +257,8 @@ def _typed(spec, value, path: str):
                 raise ValueError(f"config key {join(name)!r} repeats the rate of {paths[key]!r}")
             paths[key] = join(name)
             typed[key] = _typed(item_spec, item, join(name))
+        if len({isinstance(name, str) for name in value}) > 1:  # json.dumps cannot sort them
+            raise ValueError(f"config key {path!r} names its rates by both numbers and strings")
         return typed
     for key in value:
         if key not in spec:
@@ -288,6 +300,14 @@ def check_config(resolved: dict) -> dict:
         _checked("synth.audio.freq_base", check_frequency, base, sr)
         for freq in (base - spread, base + spread):
             _checked("synth.audio.freq_scale", check_frequency, freq, sr)
+    sweep = cfg["sweep"]
+    if sweep:
+        _checked("sweep.rates", check_sweep_rates, sweep["rates"])
+        for rate in sweep["rates"] if sweep["score_files"] else ():
+            if rate not in sweep["score_files"]:
+                raise ValueError(f"config key 'sweep.score_files' has no file for rate {rate:g}")
+        if not (sweep["score_files"] or sweep["score_dir"]):
+            raise ValueError("config key 'sweep' needs score_files or score_dir")
     return cfg
 
 
@@ -338,6 +358,12 @@ def resolve_config(doc: dict, outdir=None, seed=None) -> dict:
     if seed is not None:
         resolved["seed"] = int(seed)
     return resolved
+
+
+def resolve_path(cfg: dict, value) -> Path:
+    """A config path; a relative one lives under the output directory."""
+    p = Path(value)
+    return p if p.is_absolute() else Path(cfg["outdir"]) / p
 
 
 def config_fingerprint(resolved: dict) -> str:

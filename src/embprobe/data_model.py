@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import (ATTACK_TRAITS, META_TRAITS, PartitionScheme,  # noqa: F401
-                     check_train_fraction)
-from .fileio import (atomic_write_bytes, atomic_write_text, read_csv, read_jsonl, reading,
-                     write_csv)
+                     check_train_fraction, resolve_path)
+from .fileio import (atomic_write_bytes, atomic_write_text, read_csv, read_json, read_jsonl,
+                     reading, write_csv, write_json)
 from .rng import make_rng
 
 GENDERS = ("female", "male")
@@ -380,6 +380,33 @@ def partition(manifest: Manifest, scheme, train_fraction: float = 0.9,
             evals = [u for s in speakers if s in eval_speakers for u in groups[s]]
 
     return tuple(sorted(train)), tuple(sorted(evals))
+
+
+def cmd_partition(resolved: dict, cfg: dict) -> list[dict]:
+    """The `partition` command: splits/<scheme>.json per listed or task scheme."""
+    manifest = load_manifest(resolve_path(cfg, cfg["manifest"]))
+    fraction, seed = cfg["partition"]["train_fraction"], cfg["seed"]
+    schemes = cfg["partition"]["schemes"] or sorted({t["scheme"] for t in cfg["tasks"]})
+    for scheme in schemes:
+        train_ids, eval_ids = partition(manifest, scheme, fraction, seed)
+        write_json(resolve_path(cfg, f"splits/{scheme}.json"), {
+            "scheme": scheme, "train_fraction": fraction, "seed": seed,
+            "train": list(train_ids), "eval": list(eval_ids),
+        })
+    return []
+
+
+def load_split(cfg: dict, scheme: str) -> tuple[list[str], list[str]]:
+    """The (train, eval) utt_ids that `partition` wrote for `scheme`."""
+    path = resolve_path(cfg, f"splits/{scheme}.json")
+    if not path.exists():
+        raise ValueError(f"split file missing for scheme {scheme}: run `partition` first")
+    with reading(path):
+        doc = read_json(path)
+        if not all(isinstance(doc.get(key), list) and all(isinstance(u, str) for u in doc[key])
+                   for key in ("train", "eval")):
+            raise ValueError("expected 'train' and 'eval' lists of utt_ids")
+        return doc["train"], doc["eval"]
 
 
 @dataclass(frozen=True)

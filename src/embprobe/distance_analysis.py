@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import check_bins
-from .data_model import Manifest
-from .fileio import atomic_write_bytes, reading, write_csv
-from .trait_extract import SpectralFrames
+from .charts import histogram_overlay
+from .config import check_bins, resolve_path
+from .data_model import Manifest, load_embeddings, load_manifest
+from .fileio import atomic_write_bytes, reading, write_csv, write_json
+from .trait_extract import SpectralFrames, chunk_fixed, power_spectrogram, read_wav
 
 FRM_MAGIC = b"FRM1"
 
@@ -264,3 +265,50 @@ def write_distance_records(records, path) -> None:
     write_csv(path, [DISTANCE_CSV_COLUMNS, *(
         [rec.bonafide_utt, rec.speaker_id, rec.gender, rec.representation,
          repr(float(rec.mean_distance))] for rec in records)])
+
+
+def cmd_distance(resolved: dict, cfg: dict) -> list[dict]:
+    """The `distance` command: records and a chart per kind, and distance_summary.json."""
+    dcfg = cfg["distance"]
+    manifest_path = resolve_path(cfg, cfg["manifest"])
+    manifest = load_manifest(manifest_path)
+    rows = manifest.row_map()
+    paired: dict[str, tuple] = {}
+    for kind in dcfg["kinds"]:
+        source = None  # utt_id -> the file a pairing error names
+        if kind == "embedding":
+            system = dcfg["system"]
+            if system not in cfg["embeddings"]:
+                raise ValueError(f"distance system {system!r} has no embeddings path")
+            load = load_embeddings(resolve_path(cfg, cfg["embeddings"][system])).row
+        else:
+            features_dir = dcfg["features_dir"]
+
+            def frm_path(utt: str) -> Path:
+                return resolve_path(cfg, f"{features_dir}/{utt}.frm")
+
+            def load(utt: str) -> np.ndarray:
+                if features_dir:
+                    return read_frames(frm_path(utt))
+                if rows[utt].audio_path:
+                    wav = read_wav(manifest_path.parent / rows[utt].audio_path)
+                    return power_spectrogram(chunk_fixed(wav, dcfg["chunk_seconds"])).frames
+                raise ValueError(f"{utt}: no frame features or audio for encoder_spectral")
+
+            source = frm_path if features_dir else None
+        # one speaker's representations at a time, each read exactly once
+        paired[kind] = bonafide_spoof_pairing(manifest, load, kind, source=source)
+    # every kind is paired before the first file is written
+    summary: dict[str, dict] = {}
+    for kind, (records, skipped) in paired.items():
+        write_distance_records(records, resolve_path(cfg, f"distance_records_{kind}.csv"))
+        female, male = summarize_by_gender(records, bins=dcfg["bins"])
+        summary[kind] = {"female": asdict(female), "male": asdict(male), "skipped": skipped}
+        histogram_overlay(
+            resolve_path(cfg, f"charts/distance_{kind}.svg"),
+            f"Bonafide-spoof distance by gender ({kind})",
+            {"female": [r.mean_distance for r in records if r.gender == "female"],
+             "male": [r.mean_distance for r in records if r.gender == "male"]},
+            bins=dcfg["bins"], xlabel="mean distance")
+    write_json(resolve_path(cfg, "distance_summary.json"), summary)
+    return []

@@ -13,10 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULT_RATES, check_rate  # noqa: F401
+from .config import DEFAULT_RATES, check_rate, check_sweep_rates, resolve_path  # noqa: F401
+from .data_model import load_manifest
 from .fileio import atomic_write_text, read_utf8_text, reading, write_csv, write_json
 from .metrics import EERResult, eer
-from .trait_extract import Waveform
+from .trait_extract import Waveform, read_wav, write_wav
 
 KAISER_BETA = 8.555
 # np.i0(KAISER_BETA), the window's peak, which it is scaled by; a literal,
@@ -99,6 +100,25 @@ def speed_perturb(w: Waveform, rate: float) -> Waveform:
     return Waveform(samples=y, sample_rate=w.sample_rate)
 
 
+def cmd_perturb(resolved: dict, cfg: dict) -> list[dict]:
+    """The `perturb` command: each row's audio at each rate, in <audio_outdir>/r<rate>/."""
+    pcfg = cfg["perturb"]
+    manifest_path = resolve_path(cfg, cfg["manifest"])
+    manifest = load_manifest(manifest_path)
+    wrote = 0
+    for row in manifest.rows:
+        if not row.audio_path:
+            continue
+        wav = read_wav(manifest_path.parent / row.audio_path)
+        for rate in pcfg["rates"]:
+            out = resolve_path(cfg, f"{pcfg['audio_outdir']}/r{rate:g}/{row.utt_id}.wav")
+            write_wav(out, speed_perturb(wav, rate))
+            wrote += 1
+    if wrote == 0:
+        raise ValueError("no rows with audio paths to perturb")
+    return []
+
+
 def read_score_file(path) -> list[ScoreRow]:
     """Whitespace-separated `utt_id score label` with label bonafide|spoof."""
     rows: list[ScoreRow] = []
@@ -138,12 +158,7 @@ def write_score_file(rows, path) -> None:
 def run_sweep(rates, score_files: dict, outdir=None) -> dict[float, EERResult]:
     """EER per rate from `score_files[rate]`; the rates must be distinct, positive and
     include 1.0. With `outdir` set, also emits sweep_eer.csv, .json and an SVG chart."""
-    if len(set(rates)) != len(rates):
-        raise ValueError("rates must be distinct")
-    if any(r <= 0 for r in rates):
-        raise ValueError("rates must be positive")
-    if 1.0 not in rates:
-        raise ValueError("baseline rate 1.0 must be included")
+    check_sweep_rates(rates)
     results: dict[float, EERResult] = {}
     for rate in rates:
         path = score_files.get(rate)
@@ -169,3 +184,15 @@ def run_sweep(rates, score_files: dict, outdir=None) -> dict[float, EERResult]:
                    rates, [100.0 * results[r].eer for r in rates],
                    xlabel="perturbation rate", ylabel="EER (%)")
     return results
+
+
+def cmd_sweep(resolved: dict, cfg: dict) -> list[dict]:
+    """The `sweep` command: run_sweep on score_files, or on <score_dir>/scores_<rate>.txt."""
+    scfg = cfg["sweep"]
+    if scfg["score_files"]:
+        files = {rate: str(resolve_path(cfg, p)) for rate, p in scfg["score_files"].items()}
+    else:
+        files = {rate: str(resolve_path(cfg, f"{scfg['score_dir']}/scores_{rate:g}.txt"))
+                 for rate in scfg["rates"]}
+    run_sweep(scfg["rates"], files, outdir=resolve_path(cfg, "."))
+    return []

@@ -16,9 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULT_HIDDEN_DIM, check_dims, check_train  # noqa: F401
-from .fileio import atomic_write_bytes, reading
-from .rng import make_rng
+from . import REPORT_VERSION, __version__
+from .charts import bar_chart
+from .config import (DEFAULT_HIDDEN_DIM, check_dims, check_train,  # noqa: F401
+                     config_fingerprint, resolve_path)
+from .data_model import TraitTask, assemble, load_embeddings, load_manifest, load_split
+from .fileio import atomic_write_bytes, reading, write_json
+from .metrics import classification_result, regression_result
+from .rng import derive_seed, make_rng
+from .trait_extract import read_trait_csv
 
 PRB_MAGIC = b"PRB1"
 PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3")
@@ -400,3 +406,118 @@ def load_probe(path) -> MLPProbe:
             task_kind=kind, theta=theta, classes=tuple(classes) or None,
             target_mean=target_mean, target_std=target_std,
         )
+
+
+def run_probe_task(cfg: dict, manifest, table, traits, system: str, task: dict) -> dict:
+    """Train, score and save one task's probe on `system`'s `table`; its report record."""
+    trait, kind, scheme = task["trait"], task["kind"], task["scheme"]
+    train_ids, eval_ids = load_split(cfg, scheme)
+    dropped = 0
+    if kind == "classification":
+        task_obj = TraitTask.classification(manifest, trait)
+        out_dim = task_obj.label_space.size
+    else:
+        if traits is None:
+            raise ValueError(f"regression trait {trait!r} needs a traits CSV: run `traits` first")
+        values = {utt: getattr(tv, trait) for utt, tv in traits.items()
+                  if getattr(tv, trait) is not None}
+        kept_train = [u for u in train_ids if u in values]
+        kept_eval = [u for u in eval_ids if u in values]
+        dropped = (len(train_ids) - len(kept_train)) + (len(eval_ids) - len(kept_eval))
+        train_ids, eval_ids = kept_train, kept_eval
+        task_obj = TraitTask.regression(trait, values)
+        out_dim = 1
+
+    tcfg = cfg["train"]
+    ds_train = assemble(manifest, table, task_obj, train_ids, "train", tcfg["unit_norm"])
+    ds_eval = assemble(manifest, table, task_obj, eval_ids, "eval", tcfg["unit_norm"])
+    if len(ds_train) == 0 or len(ds_eval) == 0:
+        raise ValueError(f"empty split for task {system}/{trait}/{scheme}")
+
+    seed = cfg["seed"]
+    probe = init_probe(table.dim, tcfg["hidden_dim"], out_dim, kind,
+                       seed=derive_seed(seed, "init", system, trait, scheme))
+    if kind == "classification":
+        probe.classes = task_obj.label_space.classes
+    train_cfg = TrainConfig(epochs=tcfg["epochs"], batch_size=tcfg["batch_size"],
+                            initial_lr=tcfg["initial_lr"], decay_factor=tcfg["decay_factor"],
+                            decay_every=tcfg["decay_every"],
+                            seed=derive_seed(seed, "train", system, trait, scheme))
+    probe, history = train(probe, ds_train, train_cfg)
+    preds = predict(probe, ds_eval.X)
+
+    mcfg = cfg["metrics"]
+    if kind == "classification":
+        res = classification_result(
+            preds, ds_eval.y, out_dim, n_boot=mcfg["n_boot"], alpha=mcfg["alpha"],
+            seed=derive_seed(seed, "bootstrap", system, trait, scheme))
+    else:
+        res = regression_result(preds, ds_eval.y, n_perm=mcfg["n_perm"],
+                                seed=derive_seed(seed, "permutation", system, trait, scheme))
+    metric_block = dict(vars(res))
+    if kind == "classification":
+        metric_block["confusion"] = res.confusion.tolist()
+
+    probe_rel = f"probes/{system}_{trait}_{scheme}.prb"
+    save_probe(probe, resolve_path(cfg, probe_rel))
+    return {
+        "system": system, **task, "status": "ok", "metrics": metric_block,
+        "history": {"losses": history.losses, "lrs": history.lrs},
+        "n_train": len(ds_train), "n_eval": len(ds_eval),
+        "dropped_missing_target": dropped, "probe_file": probe_rel,
+    }
+
+
+def cmd_probe(resolved: dict, cfg: dict, jobs: int = 1) -> list[dict]:
+    """The `probe` command: every task on every system, over `jobs` threads, into
+    probe_report.json and charts; returns the records of the tasks that failed."""
+    manifest = load_manifest(resolve_path(cfg, cfg["manifest"]))
+    if not cfg["embeddings"]:
+        raise ValueError("config declares no embedding tables")
+    tables = {name: load_embeddings(resolve_path(cfg, path))
+              for name, path in cfg["embeddings"].items()}
+    traits_path = resolve_path(cfg, cfg["traits_csv"])
+    traits = read_trait_csv(traits_path) if traits_path.exists() else None
+
+    jobs_list = [(system, task) for system in sorted(tables) for task in cfg["tasks"]]
+
+    def run(item):
+        system, task = item
+        try:
+            return run_probe_task(cfg, manifest, tables[system], traits, system, task)
+        except (ValueError, OSError) as exc:
+            return {"system": system, **task, "status": "failed", "error": str(exc)}
+
+    if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            records = list(pool.map(run, jobs_list))
+    else:
+        records = [run(item) for item in jobs_list]
+
+    write_json(resolve_path(cfg, "probe_report.json"), {
+        "version": REPORT_VERSION, "toolkit_version": __version__,
+        "config_fingerprint": config_fingerprint(resolved), "tasks": records})
+    _emit_probe_charts(cfg, records)
+    return [r for r in records if r["status"] == "failed"]
+
+
+def _emit_probe_charts(cfg: dict, records: list[dict]) -> None:
+    systems = sorted({r["system"] for r in records if r["status"] == "ok"})
+    for kind, fname, field_name, ylabel in (
+            ("classification", "charts/classification_accuracy.svg", "accuracy", "accuracy"),
+            ("regression", "charts/regression_r2.svg", "r_squared", "R^2")):
+        ok = [r for r in records if r["status"] == "ok" and r["kind"] == kind]
+        if not ok:
+            continue
+        groups = sorted({f"{r['trait']} ({r['scheme']})" for r in ok})
+        by_key = {(r["system"], f"{r['trait']} ({r['scheme']})"): r for r in ok}
+
+        def grid(name, absent):  # one row per system, one column per group
+            return [[by_key[(s, g)]["metrics"][name] if (s, g) in by_key else absent
+                     for g in groups] for s in systems]
+
+        ci = kind == "classification"
+        bar_chart(resolve_path(cfg, fname), f"Probe {kind} performance", groups, systems,
+                  grid(field_name, 0.0), err_low=grid("ci_low", None) if ci else None,
+                  err_high=grid("ci_high", None) if ci else None, ylabel=ylabel)

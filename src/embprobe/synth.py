@@ -7,15 +7,19 @@ known by construction. Deterministic given the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
-from .config import check_frequency, check_planted, check_positive, check_synth_spec
-from .data_model import EmbeddingTable, Manifest, ManifestRow, trait_label
-from .perturbation import ScoreRow
-from .rng import make_rng
-from .trait_extract import Waveform
+from .config import (check_frequency, check_planted, check_positive, check_synth_spec,
+                     resolve_path, synth_spec_keys)
+from .data_model import (EmbeddingTable, Manifest, ManifestRow, trait_label, write_embeddings,
+                         write_manifest)
+from .perturbation import ScoreRow, write_score_file
+from .rng import derive_seed, make_rng
+from .trait_extract import Waveform, write_wav
 
 ACCENTS = ("american", "english", "irish", "scottish", "welsh")
 DEFAULT_ATTACKS = ("A07", "A08", "A09", "A10")
@@ -204,3 +208,55 @@ def gen_gender_ablation_pair(n_speakers: int = 12, bonafide_per_speaker: int = 2
             vectors.append(vec / np.linalg.norm(vec))
     table = EmbeddingTable(ids=tuple(row.utt_id for row in rows), matrix=np.array(vectors))
     return Manifest(rows=tuple(rows)), encoder, table
+
+
+def _synth_spec(cfg: dict, overrides: dict | None = None) -> SynthSpec:
+    spec = synth_spec_keys(cfg, overrides)
+    if missing := sorted({"n_speakers", "utts_per_speaker", "dim"} - spec.keys()):
+        raise ValueError(f"config key 'synth.{missing[0]}' is required")
+    planted = tuple(PlantedTrait(p["trait"], p["kind"], p["strength"])
+                    for p in spec.pop("planted", ()))
+    return SynthSpec(planted_traits=planted, **spec)
+
+
+def cmd_synth(resolved: dict, cfg: dict) -> list[dict]:
+    """The `synth` command: the manifest, each system's table, and any tones and scores."""
+    scfg = cfg["synth"]
+    base_spec = _synth_spec(cfg)
+    manifest = build_manifest(base_spec)
+
+    manifest_path = resolve_path(cfg, cfg["manifest"])
+    audio = scfg["audio"]
+    if audio is not None:
+        if audio["freq_trait"]:
+            values = planted_values(base_spec, audio["freq_trait"])
+        else:
+            values = np.zeros(len(manifest.rows))
+        audio_root = resolve_path(cfg, audio["dir"])
+        # manifest audio paths are relative to the manifest's directory
+        audio_rel = Path(os.path.relpath(audio_root, manifest_path.parent)).as_posix()
+        rows = []
+        for i, row in enumerate(manifest.rows):
+            freq = audio["freq_base"] + audio["freq_scale"] * float(np.clip(values[i], -3.0, 3.0))
+            write_wav(audio_root / f"{row.utt_id}.wav",
+                      gen_tone(freq, audio["duration_s"], sr=audio["sr"], amplitude=0.5))
+            rows.append(replace(row, audio_path=f"{audio_rel}/{row.utt_id}.wav"))
+        manifest = replace(manifest, rows=tuple(rows))
+
+    write_manifest(manifest, manifest_path)
+
+    systems = scfg["systems"] or {name: None for name in cfg["embeddings"]}
+    for name in sorted(systems):
+        if name not in cfg["embeddings"]:
+            raise ValueError(f"synth system {name!r} has no embeddings path in config")
+        table = gen_table(_synth_spec(cfg, systems[name]), manifest)
+        write_embeddings(table, resolve_path(cfg, cfg["embeddings"][name]))
+
+    scores = scfg["scores"]
+    if scores is not None:
+        for rate in scores["rates"]:
+            separation = max(0.2, scores["base_separation"] - scores["decay"] * abs(rate - 1.0))
+            rows = gen_scores(scores["n_bonafide"], scores["n_spoof"], separation,
+                              seed=derive_seed(cfg["seed"], "scores", f"{rate:g}"))
+            write_score_file(rows, resolve_path(cfg, f"{scores['dir']}/scores_{rate:g}.txt"))
+    return []

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ACOUSTIC_TRAITS, check_chunk_seconds
-from .fileio import atomic_write_bytes, read_csv, reading, write_csv
+from .config import ACOUSTIC_TRAITS, check_chunk_seconds, resolve_path
+from .data_model import load_manifest
+from .fileio import atomic_write_bytes, read_csv, reading, write_csv, write_json
 
 POWER_FLOOR = 1e-10
 
@@ -398,3 +399,31 @@ def read_trait_csv(path) -> dict[str, TraitValues]:
         if not out:
             raise ValueError("empty trait file")
         return out
+
+
+def cmd_traits(resolved: dict, cfg: dict) -> list[dict]:
+    """The `traits` command: the trait CSV, and each row's failures in traits_errors.json."""
+    manifest_path = resolve_path(cfg, cfg["manifest"])
+    manifest = load_manifest(manifest_path)
+    values = {}
+    errors: dict[str, dict[str, str]] = {}
+    n_ok = 0
+    for row in manifest.rows:
+        values[row.utt_id] = TraitValues()  # kept, empty, if the audio does not read
+        if not row.audio_path:
+            errors[row.utt_id] = {"audio": "no audio path"}
+            continue
+        try:
+            wav = read_wav(manifest_path.parent / row.audio_path)
+        except (OSError, ValueError) as exc:
+            errors[row.utt_id] = {"audio": str(exc)}
+            continue
+        values[row.utt_id], failures = extract_traits(wav, row.transcript)
+        n_ok += 1
+        if failures:
+            errors[row.utt_id] = failures
+    if n_ok == 0:
+        raise ValueError("trait extraction produced zero successful rows")
+    write_trait_csv(values, resolve_path(cfg, cfg["traits_csv"]))
+    write_json(resolve_path(cfg, "traits_errors.json"), errors)
+    return []

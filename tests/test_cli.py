@@ -732,6 +732,40 @@ def test_two_names_of_one_rate_fail_the_check(tmp_path):
     assert sorted(p.name for p in outdir.iterdir()) == ["failures.json"]
 
 
+def test_rates_named_by_numbers_and_strings_fail_the_check(tmp_path):
+    """YAML reads `1.0:` as a number and `'0.9':` as a string; report's fingerprint
+    cannot sort the two, so the check rejects the mix, naming the mapping."""
+    outdir = tmp_path / "out"
+    cfg = pipeline_config(outdir)
+    cfg["sweep"] = {"rates": [0.9, 1.0], "score_files": {1.0: "a.txt", "0.9": "b.txt"}}
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg, sort_keys=False))
+    assert main(["report", "--config", str(cfg_path)]) == 1
+    error = json.loads((outdir / "failures.json").read_text())["failures"][0]["error"]
+    assert error == "config key 'sweep.score_files' names its rates by both numbers and strings"
+    assert sorted(p.name for p in outdir.iterdir()) == ["failures.json"]
+
+
+@pytest.mark.parametrize("sweep, message", [
+    ({"rates": [0.9, 1.1], "score_dir": "scores"},
+     "config key 'sweep.rates': baseline rate 1.0 must be included"),
+    ({"rates": [0.9, 1.0], "score_files": {"1.0": "a.txt", "1.1": "b.txt"}},
+     "config key 'sweep.score_files' has no file for rate 0.9"),
+    ({"rates": [0.9, 1.0]}, "config key 'sweep' needs score_files or score_dir"),
+], ids=["no-baseline", "rate-without-file", "no-score-source"])
+def test_a_sweep_that_cannot_run_fails_every_command(tmp_path, sweep, message):
+    outdir = tmp_path / "out"
+    cfg = pipeline_config(outdir)
+    cfg["sweep"] = sweep
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    for command in ("partition", "sweep"):
+        assert main([command, "--config", str(cfg_path)]) == 1
+        error = json.loads((outdir / "failures.json").read_text())["failures"][0]["error"]
+        assert error == message
+    assert sorted(p.name for p in outdir.iterdir()) == ["failures.json"]
+
+
 def test_tone_frequency_spread_needs_a_freq_trait(tmp_path):
     cfg = pipeline_config(tmp_path / "out")
     cfg["synth"]["audio"].update(sr=8000, freq_base=3000.0, freq_scale=1000.0, freq_trait=None)
@@ -785,13 +819,15 @@ def test_distance_frm1_pairing_error_names_utterances_and_files(tmp_path, defect
 
 
 def test_cli_import_loads_neither_yaml_nor_thread_pool():
+    """Nor numpy, nor any module a command runs: main imports that after the config check."""
     import embprobe
     src = str(Path(embprobe.__file__).resolve().parents[1])
-    code = ("import sys, embprobe.cli; "
-            "print([m for m in ('yaml', 'concurrent.futures') if m in sys.modules])")
+    code = ("import sys, embprobe.cli; print(sorted(m for m in sys.modules if m in "
+            "('yaml', 'concurrent.futures', 'numpy') or m.partition('.')[0] == 'embprobe'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "[]"
+    loaded = ["embprobe", "embprobe.cli", "embprobe.config", "embprobe.fileio"]
+    assert out.stdout.strip() == repr(loaded)
 
 
 def test_library_import_leaves_blas_threads_unset():
@@ -849,6 +885,51 @@ def test_command_line_entries_pin_blas_and_run(tmp_path, entry):
                              capture_output=True, text=True, check=True, env=env, timeout=120)
         assert out.stdout.split() == ["0", expected]
     assert (tmp_path / "out" / "emb" / "cm.emb").exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_corpus(tmp_path_factory):
+    """A JSON config and the corpus, splits and traits that every command reads."""
+    tmp = tmp_path_factory.mktemp("tiny")
+    cfg = pipeline_config(tmp / "out")
+    cfg["synth"].update(n_speakers=6, utts_per_speaker=4, dim=8)
+    cfg["synth"]["audio"]["duration_s"] = 0.25
+    cfg["synth"]["scores"].update(n_bonafide=10, n_spoof=10)
+    cfg.update(partition={"train_fraction": 0.75}, train={"epochs": 2, "hidden_dim": 8},
+               metrics={"n_boot": 100, "n_perm": 100}, tasks=[cfg["tasks"][0], cfg["tasks"][2]])
+    cfg["distance"]["chunk_seconds"] = 0.25
+    cfg_path = tmp / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    for cmd in ("synth", "partition", "traits"):
+        assert main([cmd, "--config", str(cfg_path)]) == 0, cmd
+    return cfg_path
+
+
+@pytest.mark.parametrize("command", ["synth", "partition", "traits", "probe", "distance",
+                                     "perturb", "sweep", "report"])
+def test_each_command_imports_only_its_own_modules(tiny_corpus, command):
+    """Run as `python -m embprobe.cli` runs it, a command loads the library modules it
+    drives and no other; `report` loads no numpy, and no command loads yaml for a
+    JSON config."""
+    import embprobe
+    src = str(Path(embprobe.__file__).resolve().parents[1])
+    code = ("import runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('embprobe.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, *sorted(m for m in sys.modules if m in ('numpy', 'yaml')\n"
+            "                            or m.partition('.')[0] == 'embprobe'))")
+    out = subprocess.run([sys.executable, "-c", code, command, "--config", str(tiny_corpus)],
+                         capture_output=True, text=True, check=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=src))
+    status, *loaded = out.stdout.split()
+    assert status == "0", out.stderr
+    assert "yaml" not in loaded
+    assert ("embprobe.synth" in loaded) == (command == "synth")
+    if command == "report":
+        assert loaded == ["embprobe", "embprobe.config", "embprobe.fileio"]
+    if command in ("partition", "traits", "perturb", "sweep"):
+        assert not {"embprobe.probe_net", "embprobe.distance_analysis"} & set(loaded)
 
 
 def test_probe_outputs_independent_of_jobs_and_blas_threads(tmp_path):

@@ -10,7 +10,7 @@ from embprobe.config import check_config, resolve_config
 from embprobe.data_model import partition
 from embprobe.distance_analysis import histogram_overlap
 from embprobe.metrics import bootstrap_ci, permutation_p_value
-from embprobe.perturbation import speed_perturb
+from embprobe.perturbation import run_sweep, speed_perturb
 from embprobe.probe_net import TrainConfig, init_probe
 from embprobe.synth import PlantedTrait, SynthSpec, build_manifest, gen_scores, gen_tone
 from embprobe.trait_extract import chunk_fixed
@@ -29,7 +29,7 @@ def test_config_import_loads_neither_numpy_nor_yaml():
 VALID = {"synth": {"n_speakers": 2, "utts_per_speaker": 2, "dim": 4,
                    "planted": [{"trait": "gender", "kind": "cluster"}],
                    "audio": {"sr": 16000}, "scores": {"n_bonafide": 5}},
-         "distance": {"bins": 10}, "perturb": {"rates": [1.0]}}
+         "distance": {"bins": 10}, "perturb": {"rates": [1.0]}, "sweep": {"score_dir": "s"}}
 
 
 def _tone():
@@ -55,6 +55,7 @@ SHARED_CHECKS = [
     ("distance.bins", 0, lambda v: histogram_overlap([0.0], [1.0], bins=v)),
     ("distance.chunk_seconds", 0.0, lambda v: chunk_fixed(_tone(), v)),
     ("perturb.rates", [2.5], lambda v: speed_perturb(_tone(), v[0])),
+    ("sweep.rates", [0.9, 1.1], lambda v: run_sweep(v, {})),
     ("synth.audio.sr", 0, lambda v: gen_tone(200.0, 1.0, sr=v)),
     ("synth.audio.duration_s", -1.0, lambda v: gen_tone(200.0, v)),
     ("synth.scores.n_bonafide", 0, lambda v: gen_scores(v, 5, 1.0)),
